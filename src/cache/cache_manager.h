@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "src/flash/types.h"
+#include "src/util/stat_fields.h"
 #include "src/util/status.h"
 
 namespace flashtier {
@@ -42,27 +43,28 @@ struct ManagerStats {
   uint64_t scrub_repairs = 0;         // latent sectors repaired from cached copies
   uint64_t disk_degraded_entries = 0; // times the manager entered disk-degraded mode
 
-  // Accumulates another manager's counters (used to aggregate the per-shard
-  // managers of a sharded system into one host-visible view).
-  void Merge(const ManagerStats& o) {
-    reads += o.reads;
-    writes += o.writes;
-    read_hits += o.read_hits;
-    read_misses += o.read_misses;
-    writebacks += o.writebacks;
-    cleans += o.cleans;
-    evicts += o.evicts;
-    metadata_writes += o.metadata_writes;
-    read_errors += o.read_errors;
-    lost_dirty += o.lost_dirty;
-    degraded_entries += o.degraded_entries;
-    pass_through_writes += o.pass_through_writes;
-    rescued_reads += o.rescued_reads;
-    disk_io_errors += o.disk_io_errors;
-    parked_writebacks += o.parked_writebacks;
-    scrub_repairs += o.scrub_repairs;
-    disk_degraded_entries += o.disk_degraded_entries;
+  // Merge, == and the --stats-json block derive from this list (stat_fields.h).
+  static constexpr void Fields(auto&& f) {
+    f("reads", &ManagerStats::reads, MergeRule::kSum);
+    f("writes", &ManagerStats::writes, MergeRule::kSum);
+    f("read_hits", &ManagerStats::read_hits, MergeRule::kSum);
+    f("read_misses", &ManagerStats::read_misses, MergeRule::kSum);
+    f("writebacks", &ManagerStats::writebacks, MergeRule::kSum);
+    f("cleans", &ManagerStats::cleans, MergeRule::kSum);
+    f("evicts", &ManagerStats::evicts, MergeRule::kSum);
+    f("metadata_writes", &ManagerStats::metadata_writes, MergeRule::kSum);
+    f("read_errors", &ManagerStats::read_errors, MergeRule::kSum);
+    f("lost_dirty", &ManagerStats::lost_dirty, MergeRule::kSum);
+    f("degraded_entries", &ManagerStats::degraded_entries, MergeRule::kSum);
+    f("pass_through_writes", &ManagerStats::pass_through_writes, MergeRule::kSum);
+    f("rescued_reads", &ManagerStats::rescued_reads, MergeRule::kSum);
+    f("disk_io_errors", &ManagerStats::disk_io_errors, MergeRule::kSum);
+    f("parked_writebacks", &ManagerStats::parked_writebacks, MergeRule::kSum);
+    f("scrub_repairs", &ManagerStats::scrub_repairs, MergeRule::kSum);
+    f("disk_degraded_entries", &ManagerStats::disk_degraded_entries, MergeRule::kSum);
   }
+  void Merge(const ManagerStats& o) { MergeFields(*this, o); }
+  friend bool operator==(const ManagerStats& a, const ManagerStats& b) { return FieldsEqual(a, b); }
 
   double HitRate() const {
     const uint64_t lookups = read_hits + read_misses;
@@ -74,6 +76,7 @@ struct ManagerStats {
                         : 100.0 * static_cast<double>(read_misses) / static_cast<double>(lookups);
   }
 };
+static_assert(FieldCount<ManagerStats>() * sizeof(uint64_t) == sizeof(ManagerStats));
 
 class CacheManager {
  public:

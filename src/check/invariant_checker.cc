@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdarg>
 #include <cstdio>
 #include <set>
 #include <unordered_map>
@@ -15,23 +14,9 @@
 #include "src/ssc/persist.h"
 #include "src/ssc/shard.h"
 #include "src/ssc/ssc_device.h"
+#include "src/util/str_format.h"
 
 namespace flashtier {
-
-namespace {
-
-// printf-style formatting into a std::string for violation details.
-std::string Fmt(const char* format, ...) __attribute__((format(printf, 1, 2)));
-std::string Fmt(const char* format, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, format);
-  vsnprintf(buffer, sizeof(buffer), format, args);
-  va_end(args);
-  return std::string(buffer);
-}
-
-}  // namespace
 
 void CheckReport::Add(std::string invariant, std::string detail) {
   ++violation_count;
@@ -52,8 +37,8 @@ void CheckReport::Merge(CheckReport other) {
 }
 
 std::string CheckReport::ToString() const {
-  std::string out = Fmt("%llu checks, %llu violations", (unsigned long long)checks_run,
-                        (unsigned long long)violation_count);
+  std::string out = StrFormat("%llu checks, %llu violations", (unsigned long long)checks_run,
+                              (unsigned long long)violation_count);
   for (const InvariantViolation& v : violations) {
     out += "\n  [";
     out += v.invariant;
@@ -61,8 +46,8 @@ std::string CheckReport::ToString() const {
     out += v.detail;
   }
   if (violation_count > violations.size()) {
-    out += Fmt("\n  ... %llu more not recorded",
-               (unsigned long long)(violation_count - violations.size()));
+    out += StrFormat("\n  ... %llu more not recorded",
+                     (unsigned long long)(violation_count - violations.size()));
   }
   return out;
 }
@@ -78,16 +63,16 @@ CheckReport InvariantChecker::CheckPersistence(const PersistenceManager& pm) {
     ++report.checks_run;
     if (!first && r.lsn <= prev) {
       report.Add("persist.lsn-monotone",
-                 Fmt("durable record lsn %llu follows %llu", (unsigned long long)r.lsn,
-                     (unsigned long long)prev));
+                 StrFormat("durable record lsn %llu follows %llu", (unsigned long long)r.lsn,
+                           (unsigned long long)prev));
     }
     // Checkpoint coverage: the log is truncated at every checkpoint, so any
     // surviving record must postdate the checkpoint LSN.
     ++report.checks_run;
     if (r.lsn <= pm.checkpoint_lsn_) {
       report.Add("persist.checkpoint-coverage",
-                 Fmt("durable record lsn %llu is covered by checkpoint lsn %llu",
-                     (unsigned long long)r.lsn, (unsigned long long)pm.checkpoint_lsn_));
+                 StrFormat("durable record lsn %llu is covered by checkpoint lsn %llu",
+                           (unsigned long long)r.lsn, (unsigned long long)pm.checkpoint_lsn_));
     }
     prev = r.lsn;
     first = false;
@@ -98,8 +83,8 @@ CheckReport InvariantChecker::CheckPersistence(const PersistenceManager& pm) {
     ++report.checks_run;
     if (!first && r.lsn <= prev) {
       report.Add("persist.lsn-monotone",
-                 Fmt("buffered record lsn %llu follows %llu", (unsigned long long)r.lsn,
-                     (unsigned long long)prev));
+                 StrFormat("buffered record lsn %llu follows %llu", (unsigned long long)r.lsn,
+                           (unsigned long long)prev));
     }
     prev = r.lsn;
     first = false;
@@ -108,14 +93,14 @@ CheckReport InvariantChecker::CheckPersistence(const PersistenceManager& pm) {
   ++report.checks_run;
   if (!first && prev >= pm.next_lsn_) {
     report.Add("persist.lsn-allocation",
-               Fmt("record lsn %llu >= next_lsn %llu", (unsigned long long)prev,
-                   (unsigned long long)pm.next_lsn_));
+               StrFormat("record lsn %llu >= next_lsn %llu", (unsigned long long)prev,
+                         (unsigned long long)pm.next_lsn_));
   }
   ++report.checks_run;
   if (pm.checkpoint_lsn_ >= pm.next_lsn_) {
     report.Add("persist.lsn-allocation",
-               Fmt("checkpoint lsn %llu >= next_lsn %llu",
-                   (unsigned long long)pm.checkpoint_lsn_, (unsigned long long)pm.next_lsn_));
+               StrFormat("checkpoint lsn %llu >= next_lsn %llu",
+                         (unsigned long long)pm.checkpoint_lsn_, (unsigned long long)pm.next_lsn_));
   }
 
   // Log-region capacity: the durable log may never exceed the configured
@@ -125,9 +110,9 @@ CheckReport InvariantChecker::CheckPersistence(const PersistenceManager& pm) {
     ++report.checks_run;
     if (pm.DurableLogPages() > pm.options_.log_region_pages) {
       report.Add("persist.log-region",
-                 Fmt("durable log occupies %llu pages, region holds %llu",
-                     (unsigned long long)pm.DurableLogPages(),
-                     (unsigned long long)pm.options_.log_region_pages));
+                 StrFormat("durable log occupies %llu pages, region holds %llu",
+                           (unsigned long long)pm.DurableLogPages(),
+                           (unsigned long long)pm.options_.log_region_pages));
     }
   }
   return report;
@@ -149,13 +134,13 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
   auto classify = [&](PhysBlock b, uint8_t c) {
     ++report.checks_run;
     if (b >= total_blocks) {
-      report.Add("block.range", Fmt("%s block %llu out of range", kClassName[c],
-                                    (unsigned long long)b));
+      report.Add("block.range", StrFormat("%s block %llu out of range", kClassName[c],
+                                          (unsigned long long)b));
       return;
     }
     if (cls[b] != kUnknown) {
-      report.Add("block.partition", Fmt("block %llu is both %s and %s", (unsigned long long)b,
-                                        kClassName[cls[b]], kClassName[c]));
+      report.Add("block.partition", StrFormat("block %llu is both %s and %s", (unsigned long long)b,
+                                              kClassName[cls[b]], kClassName[c]));
       return;
     }
     cls[b] = c;
@@ -177,16 +162,17 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
   for (PhysBlock b = 0; b < total_blocks; ++b) {
     ++report.checks_run;
     if (cls[b] == kUnknown) {
-      report.Add("block.partition", Fmt("block %llu belongs to no category (free/log/data/dead)",
-                                        (unsigned long long)b));
+      report.Add("block.partition",
+                 StrFormat("block %llu belongs to no category (free/log/data/dead)",
+                           (unsigned long long)b));
     }
     // A free block must be fully erased or the next ProgramPage on it fails.
     if (cls[b] == kFree) {
       ++report.checks_run;
       if (!device.BlockErased(b)) {
         report.Add("allocator.free-erased",
-                   Fmt("free block %llu has write pointer %u", (unsigned long long)b,
-                       device.write_pointer(b)));
+                   StrFormat("free block %llu has write pointer %u", (unsigned long long)b,
+                             device.write_pointer(b)));
       }
       // Erase resets the read-disturb counter and free pages refuse reads, so
       // a free block carrying disturb exposure means an erase skipped the
@@ -194,8 +180,8 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
       ++report.checks_run;
       if (device.ReadsSinceErase(b) != 0) {
         report.Add("endurance.disturb-reset",
-                   Fmt("free block %llu carries %llu reads since erase", (unsigned long long)b,
-                       (unsigned long long)device.ReadsSinceErase(b)));
+                   StrFormat("free block %llu carries %llu reads since erase",
+                             (unsigned long long)b, (unsigned long long)device.ReadsSinceErase(b)));
       }
     }
     // A bad block must be retired: handing it back out would lose every
@@ -204,8 +190,8 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
     ++report.checks_run;
     if (device.BlockBad(b) && cls[b] != kRetired) {
       report.Add("endurance.bad-not-retired",
-                 Fmt("bad block %llu is classified %s, not retired", (unsigned long long)b,
-                     kClassName[cls[b]]));
+                 StrFormat("bad block %llu is classified %s, not retired", (unsigned long long)b,
+                           kClassName[cls[b]]));
     }
     // Retirement is for failed media only: a healthy block parked in the
     // retired set would silently shrink the cache.
@@ -213,8 +199,8 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
       ++report.checks_run;
       if (!device.BlockBad(b)) {
         report.Add("allocator.retired-bad",
-                   Fmt("retired block %llu is not marked bad by the device",
-                       (unsigned long long)b));
+                   StrFormat("retired block %llu is not marked bad by the device",
+                             (unsigned long long)b));
       }
     }
   }
@@ -230,33 +216,35 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
     }
     ++report.checks_run;
     if (ppn >= g.TotalPages()) {
-      report.Add("page-map.range", Fmt("lbn %llu maps to ppn %llu out of range",
-                                       (unsigned long long)lbn, (unsigned long long)ppn));
+      report.Add("page-map.range", StrFormat("lbn %llu maps to ppn %llu out of range",
+                                             (unsigned long long)lbn, (unsigned long long)ppn));
       return;
     }
     ++report.checks_run;
     if (device.page_state(ppn) != PageState::kValid) {
-      report.Add("page-map.medium", Fmt("lbn %llu maps to non-valid ppn %llu",
-                                        (unsigned long long)lbn, (unsigned long long)ppn));
+      report.Add("page-map.medium", StrFormat("lbn %llu maps to non-valid ppn %llu",
+                                              (unsigned long long)lbn, (unsigned long long)ppn));
     }
     ++report.checks_run;
     if (device.oob(ppn).lbn != lbn) {
       report.Add("page-map.oob-lbn",
-                 Fmt("lbn %llu maps to ppn %llu whose OOB says lbn %llu", (unsigned long long)lbn,
-                     (unsigned long long)ppn, (unsigned long long)device.oob(ppn).lbn));
+                 StrFormat("lbn %llu maps to ppn %llu whose OOB says lbn %llu",
+                           (unsigned long long)lbn, (unsigned long long)ppn,
+                           (unsigned long long)device.oob(ppn).lbn));
     }
     // Clean-ing only ever clears the in-RAM dirty bit, so a map-dirty page
     // must have been programmed dirty (OOB flag bit 0).
     ++report.checks_run;
     if (dirty && (device.oob(ppn).flags & 1u) == 0) {
-      report.Add("page-map.oob-dirty", Fmt("lbn %llu is map-dirty but was programmed clean",
-                                           (unsigned long long)lbn));
+      report.Add("page-map.oob-dirty", StrFormat("lbn %llu is map-dirty but was programmed clean",
+                                                 (unsigned long long)lbn));
     }
     const PhysBlock b = g.BlockOf(ppn);
     ++report.checks_run;
     if (b < total_blocks && cls[b] != kLog) {
       report.Add("page-map.log-residence",
-                 Fmt("lbn %llu lives in %s block %llu (page-mapped data must stay in log blocks)",
+                 StrFormat(
+                     "lbn %llu lives in %s block %llu (page-mapped data must stay in log blocks)",
                      (unsigned long long)lbn, kClassName[cls[b]], (unsigned long long)b));
     }
     const auto it = ssc.log_contents_.find(b);
@@ -264,8 +252,8 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
     ++report.checks_run;
     if (it == ssc.log_contents_.end() || off >= it->second.size() || it->second[off] != lbn) {
       report.Add("page-map.log-contents",
-                 Fmt("lbn %llu at ppn %llu disagrees with the log-contents reverse map",
-                     (unsigned long long)lbn, (unsigned long long)ppn));
+                 StrFormat("lbn %llu at ppn %llu disagrees with the log-contents reverse map",
+                           (unsigned long long)lbn, (unsigned long long)ppn));
     }
     // A page-mapped lbn supersedes any block-level copy: the block entry's
     // presence bit for this offset must be clear or reads become ambiguous.
@@ -273,8 +261,8 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
       ++report.checks_run;
       if ((e->present_bits >> (lbn % ppb)) & 1u) {
         report.Add("page-map.block-shadow",
-                   Fmt("lbn %llu is both page-mapped and present at block level",
-                       (unsigned long long)lbn));
+                   StrFormat("lbn %llu is both page-mapped and present at block level",
+                             (unsigned long long)lbn));
       }
     }
     log_refs[b] |= uint64_t{1} << off;
@@ -288,31 +276,33 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
     block_dirty += static_cast<uint64_t>(std::popcount(e.dirty_bits));
     ++report.checks_run;
     if (e.phys >= total_blocks) {
-      report.Add("block-map.range", Fmt("logical block %llu maps to phys %llu out of range",
-                                        (unsigned long long)logical, (unsigned long long)e.phys));
+      report.Add("block-map.range",
+                 StrFormat("logical block %llu maps to phys %llu out of range",
+                           (unsigned long long)logical, (unsigned long long)e.phys));
       return;
     }
     ++report.checks_run;
     if ((e.dirty_bits & ~e.present_bits) != 0) {
       report.Add("block-map.dirty-subset",
-                 Fmt("logical block %llu has dirty bits %llx outside present bits %llx",
-                     (unsigned long long)logical, (unsigned long long)e.dirty_bits,
-                     (unsigned long long)e.present_bits));
+                 StrFormat("logical block %llu has dirty bits %llx outside present bits %llx",
+                           (unsigned long long)logical, (unsigned long long)e.dirty_bits,
+                           (unsigned long long)e.present_bits));
     }
     ++report.checks_run;
     if (ssc.phys_to_logical_[e.phys] != logical) {
       report.Add("block-map.reverse",
-                 Fmt("phys_to_logical[%llu] = %llu, expected logical %llu",
-                     (unsigned long long)e.phys, (unsigned long long)ssc.phys_to_logical_[e.phys],
-                     (unsigned long long)logical));
+                 StrFormat("phys_to_logical[%llu] = %llu, expected logical %llu",
+                           (unsigned long long)e.phys,
+                           (unsigned long long)ssc.phys_to_logical_[e.phys],
+                           (unsigned long long)logical));
     }
     // Valid-page accounting: merges install exactly the present pages.
     ++report.checks_run;
     if (device.valid_pages(e.phys) != static_cast<uint32_t>(std::popcount(e.present_bits))) {
       report.Add("block-map.valid-count",
-                 Fmt("data block %llu has %u valid pages on medium, %d present in map",
-                     (unsigned long long)e.phys, device.valid_pages(e.phys),
-                     std::popcount(e.present_bits)));
+                 StrFormat("data block %llu has %u valid pages on medium, %d present in map",
+                           (unsigned long long)e.phys, device.valid_pages(e.phys),
+                           std::popcount(e.present_bits)));
     }
     for (uint32_t off = 0; off < ppb; ++off) {
       if (((e.present_bits >> off) & 1u) == 0) {
@@ -322,15 +312,16 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
       ++report.checks_run;
       if (device.page_state(ppn) != PageState::kValid) {
         report.Add("block-map.medium",
-                   Fmt("logical block %llu offset %u present but ppn %llu not valid",
-                       (unsigned long long)logical, off, (unsigned long long)ppn));
+                   StrFormat("logical block %llu offset %u present but ppn %llu not valid",
+                             (unsigned long long)logical, off, (unsigned long long)ppn));
         continue;
       }
       ++report.checks_run;
       if (device.oob(ppn).lbn != logical * ppb + off) {
         report.Add("block-map.oob-lbn",
-                   Fmt("logical block %llu offset %u: OOB says lbn %llu",
-                       (unsigned long long)logical, off, (unsigned long long)device.oob(ppn).lbn));
+                   StrFormat("logical block %llu offset %u: OOB says lbn %llu",
+                             (unsigned long long)logical, off,
+                             (unsigned long long)device.oob(ppn).lbn));
       }
     }
   });
@@ -345,8 +336,8 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
     ++report.checks_run;
     if (e == nullptr || e->phys != b) {
       report.Add("block-map.reverse-stale",
-                 Fmt("phys_to_logical[%llu] = %llu but the block map disagrees",
-                     (unsigned long long)b, (unsigned long long)logical));
+                 StrFormat("phys_to_logical[%llu] = %llu but the block map disagrees",
+                           (unsigned long long)b, (unsigned long long)logical));
     }
   }
 
@@ -356,15 +347,15 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
   for (const auto& [b, lpns] : ssc.log_contents_) {
     ++report.checks_run;
     if (b >= total_blocks || cls[b] != kLog) {
-      report.Add("log.contents-stale", Fmt("log_contents has non-log block %llu",
-                                           (unsigned long long)b));
+      report.Add("log.contents-stale", StrFormat("log_contents has non-log block %llu",
+                                                 (unsigned long long)b));
       continue;
     }
     ++report.checks_run;
     if (lpns.size() != device.write_pointer(b)) {
       report.Add("log.contents-length",
-                 Fmt("log block %llu: %zu recorded pages, write pointer %u",
-                     (unsigned long long)b, lpns.size(), device.write_pointer(b)));
+                 StrFormat("log block %llu: %zu recorded pages, write pointer %u",
+                           (unsigned long long)b, lpns.size(), device.write_pointer(b)));
     }
     const uint64_t refs = [&] {
       const auto it = log_refs.find(b);
@@ -376,16 +367,16 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
       ++report.checks_run;
       if (valid && !referenced) {
         report.Add("log.unreferenced-valid",
-                   Fmt("log block %llu offset %u is valid but not page-mapped",
-                       (unsigned long long)b, off));
+                   StrFormat("log block %llu offset %u is valid but not page-mapped",
+                             (unsigned long long)b, off));
       }
     }
   }
   for (PhysBlock b : ssc.log_blocks_) {
     ++report.checks_run;
     if (b < total_blocks && ssc.log_contents_.find(b) == ssc.log_contents_.end()) {
-      report.Add("log.contents-missing", Fmt("log block %llu has no contents entry",
-                                             (unsigned long long)b));
+      report.Add("log.contents-missing", StrFormat("log block %llu has no contents entry",
+                                                   (unsigned long long)b));
     }
   }
 
@@ -393,16 +384,16 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
   ++report.checks_run;
   if (ssc.cached_pages_ != ssc.page_map_.size() + block_present) {
     report.Add("counter.cached-pages",
-               Fmt("cached_pages %llu != %zu page-mapped + %llu block-mapped",
-                   (unsigned long long)ssc.cached_pages_, ssc.page_map_.size(),
-                   (unsigned long long)block_present));
+               StrFormat("cached_pages %llu != %zu page-mapped + %llu block-mapped",
+                         (unsigned long long)ssc.cached_pages_, ssc.page_map_.size(),
+                         (unsigned long long)block_present));
   }
   ++report.checks_run;
   if (ssc.dirty_pages_ != page_dirty + block_dirty) {
     report.Add("counter.dirty-pages",
-               Fmt("dirty_pages %llu != %llu page-mapped + %llu block-mapped",
-                   (unsigned long long)ssc.dirty_pages_, (unsigned long long)page_dirty,
-                   (unsigned long long)block_dirty));
+               StrFormat("dirty_pages %llu != %llu page-mapped + %llu block-mapped",
+                         (unsigned long long)ssc.dirty_pages_, (unsigned long long)page_dirty,
+                         (unsigned long long)block_dirty));
   }
 
   // Capacity accounting is exact (clamped at zero): usable capacity is the
@@ -414,9 +405,9 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
   ++report.checks_run;
   if (ssc.usable_capacity_pages() != expect_usable) {
     report.Add("endurance.capacity-accounting",
-               Fmt("usable_capacity_pages %llu != expected %llu (%llu retired blocks)",
-                   (unsigned long long)ssc.usable_capacity_pages(),
-                   (unsigned long long)expect_usable, (unsigned long long)retired_count));
+               StrFormat("usable_capacity_pages %llu != expected %llu (%llu retired blocks)",
+                         (unsigned long long)ssc.usable_capacity_pages(),
+                         (unsigned long long)expect_usable, (unsigned long long)retired_count));
   }
 
   return report;
@@ -456,8 +447,8 @@ CheckReport InvariantChecker::Check(const WriteBackManager& manager) {
     ++report.checks_run;
     if (!manager.dirty_table_.Contains(lbn)) {
       report.Add("dirty-table.untracked",
-                 Fmt("lbn %llu is dirty in the SSC but absent from the dirty table",
-                     (unsigned long long)lbn));
+                 StrFormat("lbn %llu is dirty in the SSC but absent from the dirty table",
+                           (unsigned long long)lbn));
     }
   }
 
@@ -467,8 +458,8 @@ CheckReport InvariantChecker::Check(const WriteBackManager& manager) {
     ++report.checks_run;
     if (ssc_dirty.find(lbn) == ssc_dirty.end()) {
       report.Add("dirty-table.stale",
-                 Fmt("lbn %llu is in the dirty table but not dirty in the SSC",
-                     (unsigned long long)lbn));
+                 StrFormat("lbn %llu is in the dirty table but not dirty in the SSC",
+                           (unsigned long long)lbn));
     }
   });
 
@@ -490,16 +481,16 @@ CheckReport InvariantChecker::Check(const WriteBackManager& manager) {
     ++report.checks_run;
     if (!manager.dirty_table_.Contains(lbn)) {
       report.Add("parked-queue.not-dirty",
-                 Fmt("lbn %llu is parked for writeback retry but no longer dirty",
-                     (unsigned long long)lbn));
+                 StrFormat("lbn %llu is parked for writeback retry but no longer dirty",
+                           (unsigned long long)lbn));
     }
   }
   ++report.checks_run;
   if (covered.size() != manager.parked_lbns_.size()) {
     report.Add("parked-queue.orphaned",
-               Fmt("%llu parked blocks but only %llu covered by queued runs",
-                   (unsigned long long)manager.parked_lbns_.size(),
-                   (unsigned long long)covered.size()));
+               StrFormat("%llu parked blocks but only %llu covered by queued runs",
+                         (unsigned long long)manager.parked_lbns_.size(),
+                         (unsigned long long)covered.size()));
   }
   // Retry queues drain or escalate: repeated consecutive failures must have
   // tripped disk-degraded mode, never sat uncounted.
@@ -507,8 +498,8 @@ CheckReport InvariantChecker::Check(const WriteBackManager& manager) {
   if (manager.consecutive_disk_failures_ >= WriteBackManager::kDiskDegradedTripLimit &&
       !manager.disk_degraded_) {
     report.Add("disk-degraded.untripped",
-               Fmt("%u consecutive disk failures without entering disk-degraded mode",
-                   manager.consecutive_disk_failures_));
+               StrFormat("%u consecutive disk failures without entering disk-degraded mode",
+                         manager.consecutive_disk_failures_));
   }
 
   report.Merge(Check(ssc));
@@ -540,8 +531,8 @@ CheckReport InvariantChecker::CheckSharded(const std::vector<const SscDevice*>& 
       const uint32_t owner = router.ShardOf(lbn);
       if (owner != i) {
         report.Add("shard.partition",
-                   Fmt("%s lbn %llu cached in shard %zu but routes to shard %u", where,
-                       (unsigned long long)lbn, i, owner));
+                   StrFormat("%s lbn %llu cached in shard %zu but routes to shard %u", where,
+                             (unsigned long long)lbn, i, owner));
       }
     };
     ssc.page_map_.ForEach([&](Lbn lbn, uint64_t) { expect_here(lbn, "page-map"); });
@@ -573,9 +564,9 @@ CheckReport InvariantChecker::CheckPolicy(const AdmissionPolicy& policy, const S
   ++report.checks_run;
   if (policy.MemoryUsage() > policy.MemoryBound()) {
     report.Add("policy.memory-bound",
-               Fmt("policy '%.*s' uses %zu bytes, bound %zu",
-                   static_cast<int>(policy.name().size()), policy.name().data(),
-                   policy.MemoryUsage(), policy.MemoryBound()));
+               StrFormat("policy '%.*s' uses %zu bytes, bound %zu",
+                         static_cast<int>(policy.name().size()), policy.name().data(),
+                         policy.MemoryUsage(), policy.MemoryBound()));
   }
 
   // Rejected-block-absent: a reject either found nothing cached or evicted
@@ -587,7 +578,7 @@ CheckReport InvariantChecker::CheckPolicy(const AdmissionPolicy& policy, const S
       ++report.checks_run;
       if (SscHolds(*ssc, lbn)) {
         report.Add("policy.rejected-present",
-                   Fmt("rejected lbn %llu is cached in the SSC", (unsigned long long)lbn));
+                   StrFormat("rejected lbn %llu is cached in the SSC", (unsigned long long)lbn));
       }
     });
   }

@@ -1,7 +1,6 @@
 #include "src/check/kv_check.h"
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -11,30 +10,11 @@
 #include "src/check/invariant_checker.h"
 #include "src/kv/kv_cache.h"
 #include "src/ssc/persist.h"
+#include "src/util/json.h"
 #include "src/util/rng.h"
+#include "src/util/str_format.h"
 
 namespace flashtier {
-
-namespace {
-
-std::string Fmt(const char* format, ...) __attribute__((format(printf, 1, 2)));
-std::string Fmt(const char* format, ...) {
-  // The JSON fragments exceed any comfortable fixed buffer; size exactly.
-  va_list args;
-  va_start(args, format);
-  va_list copy;
-  va_copy(copy, args);
-  const int needed = vsnprintf(nullptr, 0, format, copy);
-  va_end(copy);
-  std::string out(needed > 0 ? static_cast<size_t>(needed) : 0, '\0');
-  if (needed > 0) {
-    vsnprintf(out.data(), out.size() + 1, format, args);
-  }
-  va_end(args);
-  return out;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // InvariantChecker::CheckKv (declared in invariant_checker.h)
@@ -73,24 +53,25 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
       ++unsealed;
       if (!shard.has_open_slab() || shard.open_slab_seq() != seq) {
         report.Add("kv.open-slab",
-                   Fmt("unsealed slab %llu is not the open slab", (unsigned long long)seq));
+                   StrFormat("unsealed slab %llu is not the open slab", (unsigned long long)seq));
       }
     }
     ++report.checks_run;
     if (seq >= shard.next_slab_seq()) {
-      report.Add("kv.seq-monotonic", Fmt("slab %llu >= next seq %llu", (unsigned long long)seq,
-                                         (unsigned long long)shard.next_slab_seq()));
+      report.Add("kv.seq-monotonic",
+                 StrFormat("slab %llu >= next seq %llu", (unsigned long long)seq,
+                           (unsigned long long)shard.next_slab_seq()));
     }
   }
   ++report.checks_run;
   if (unsealed > 1) {
-    report.Add("kv.open-slab", Fmt("%llu unsealed slabs, at most 1 allowed",
-                                   (unsigned long long)unsealed));
+    report.Add("kv.open-slab", StrFormat("%llu unsealed slabs, at most 1 allowed",
+                                         (unsigned long long)unsealed));
   }
   ++report.checks_run;
   if (shard.has_open_slab() && slabs.find(shard.open_slab_seq()) == slabs.end()) {
-    report.Add("kv.open-slab", Fmt("open slab %llu missing from the directory",
-                                   (unsigned long long)shard.open_slab_seq()));
+    report.Add("kv.open-slab", StrFormat("open slab %llu missing from the directory",
+                                         (unsigned long long)shard.open_slab_seq()));
   }
 
   for (const auto& [seq, slab] : slabs) {
@@ -131,14 +112,14 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
       const uint64_t* loc = shard.key_map().Find(slot.key);
       if (loc == nullptr || KvShard::LocSeq(*loc) != seq || KvShard::LocSlot(*loc) != i) {
         report.Add("kv.slot-unmapped",
-                   Fmt("live slot %u of slab %llu (key %llu) is not mapped back", i,
-                       (unsigned long long)seq, (unsigned long long)slot.key));
+                   StrFormat("live slot %u of slab %llu (key %llu) is not mapped back", i,
+                             (unsigned long long)seq, (unsigned long long)slot.key));
       }
     }
     ++report.checks_run;
     if (overlap) {
-      report.Add("kv.slot-overlap", Fmt("slab %llu has overlapping slots",
-                                        (unsigned long long)seq));
+      report.Add("kv.slot-overlap", StrFormat("slab %llu has overlapping slots",
+                                              (unsigned long long)seq));
     }
     ++report.checks_run;
     // used_bytes is the append frontier: it covers every live slot but may
@@ -146,15 +127,15 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
     if (used > slab.used_bytes || live_bytes != slab.live_bytes ||
         live_count != slab.live_count || dirty_live != slab.dirty_live) {
       report.Add("kv.slab-counters",
-                 Fmt("slab %llu counters used=%u/%u live=%u/%u count=%u/%u dirty=%u/%u",
-                     (unsigned long long)seq, slab.used_bytes, used, slab.live_bytes,
-                     live_bytes, slab.live_count, live_count, slab.dirty_live, dirty_live));
+                 StrFormat("slab %llu counters used=%u/%u live=%u/%u count=%u/%u dirty=%u/%u",
+                           (unsigned long long)seq, slab.used_bytes, used, slab.live_bytes,
+                           live_bytes, slab.live_count, live_count, slab.dirty_live, dirty_live));
     }
     ++report.checks_run;
     if (slab.used_bytes > shard.slab_capacity_bytes()) {
-      report.Add("kv.slab-overflow", Fmt("slab %llu uses %u of %u bytes",
-                                         (unsigned long long)seq, slab.used_bytes,
-                                         shard.slab_capacity_bytes()));
+      report.Add("kv.slab-overflow", StrFormat("slab %llu uses %u of %u bytes",
+                                               (unsigned long long)seq, slab.used_bytes,
+                                               shard.slab_capacity_bytes()));
     }
     if (!slab.sealed) {
       continue;  // open slab lives in device RAM; no medium to agree with
@@ -163,17 +144,17 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
     const uint32_t expect_pages =
         std::max<uint32_t>(1, (slab.used_bytes + kKvPageBytes - 1) / kKvPageBytes);
     if (slab.pages_spanned != expect_pages || slab.pages_spanned > shard.slab_pages()) {
-      report.Add("kv.slab-pages", Fmt("slab %llu spans %u pages, expected %u (max %u)",
-                                      (unsigned long long)seq, slab.pages_spanned,
-                                      expect_pages, shard.slab_pages()));
+      report.Add("kv.slab-pages", StrFormat("slab %llu spans %u pages, expected %u (max %u)",
+                                            (unsigned long long)seq, slab.pages_spanned,
+                                            expect_pages, shard.slab_pages()));
     }
     ++report.checks_run;
     if (!faults_possible && slab.dirty_written && dirty_live == 0) {
       // The last dirty object's death hands the slab to silent eviction via
       // Clean; a quiescent dirty-written slab with no dirty slots missed it.
-      report.Add("kv.dirty-flag", Fmt("sealed slab %llu still dirty-written with no "
-                                      "live dirty slots",
-                                      (unsigned long long)seq));
+      report.Add("kv.dirty-flag", StrFormat("sealed slab %llu still dirty-written with no "
+                                            "live dirty slots",
+                                            (unsigned long long)seq));
     }
     // Medium agreement: pages holding live dirty objects must be present and
     // dirty (silent eviction only drops clean data); pages of a clean slab
@@ -187,18 +168,18 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
         if (!present) {
           if (!faults_possible) {
             report.Add("kv.dirty-page-missing",
-                       Fmt("slab %llu page %u holds live dirty objects but is absent",
-                           (unsigned long long)seq, page));
+                       StrFormat("slab %llu page %u holds live dirty objects but is absent",
+                                 (unsigned long long)seq, page));
           }
         } else if (!dirty) {
           report.Add("kv.dirty-page-clean",
-                     Fmt("slab %llu page %u holds live dirty objects but is clean",
-                         (unsigned long long)seq, page));
+                     StrFormat("slab %llu page %u holds live dirty objects but is clean",
+                               (unsigned long long)seq, page));
         }
       } else if (present && dirty && !slab.dirty_written) {
         report.Add("kv.clean-slab-dirty-page",
-                   Fmt("clean slab %llu page %u is dirty on the medium",
-                       (unsigned long long)seq, page));
+                   StrFormat("clean slab %llu page %u is dirty on the medium",
+                             (unsigned long long)seq, page));
       }
     }
   }
@@ -211,24 +192,24 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
     const uint32_t idx = KvShard::LocSlot(loc);
     const auto it = slabs.find(seq);
     if (it == slabs.end() || idx >= it->second.slots.size()) {
-      report.Add("kv.keymap-dangling", Fmt("key %llu maps to missing slab %llu slot %u",
-                                           (unsigned long long)key, (unsigned long long)seq,
-                                           idx));
+      report.Add("kv.keymap-dangling", StrFormat("key %llu maps to missing slab %llu slot %u",
+                                                 (unsigned long long)key, (unsigned long long)seq,
+                                                 idx));
       return;
     }
     const KvSlot& slot = it->second.slots[idx];
     if (!slot.live || slot.key != key) {
       report.Add("kv.keymap-mismatch",
-                 Fmt("key %llu maps to %s slot %u of slab %llu (slot key %llu)",
-                     (unsigned long long)key, slot.live ? "live" : "dead", idx,
-                     (unsigned long long)seq, (unsigned long long)slot.key));
+                 StrFormat("key %llu maps to %s slot %u of slab %llu (slot key %llu)",
+                           (unsigned long long)key, slot.live ? "live" : "dead", idx,
+                           (unsigned long long)seq, (unsigned long long)slot.key));
     }
   });
   ++report.checks_run;
   if (shard.key_map().size() != live_total) {
-    report.Add("kv.keymap-count", Fmt("key map holds %llu keys, slabs hold %llu live slots",
-                                      (unsigned long long)shard.key_map().size(),
-                                      (unsigned long long)live_total));
+    report.Add("kv.keymap-count", StrFormat("key map holds %llu keys, slabs hold %llu live slots",
+                                            (unsigned long long)shard.key_map().size(),
+                                            (unsigned long long)live_total));
   }
 
   // Admission policy: bounded memory, and no recently rejected key may be
@@ -237,15 +218,15 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
   ++report.checks_run;
   if (policy.MemoryUsage() > policy.MemoryBound()) {
     report.Add("kv.policy.memory-bound",
-               Fmt("policy '%.*s' uses %zu bytes, bound %zu",
-                   static_cast<int>(policy.name().size()), policy.name().data(),
-                   policy.MemoryUsage(), policy.MemoryBound()));
+               StrFormat("policy '%.*s' uses %zu bytes, bound %zu",
+                         static_cast<int>(policy.name().size()), policy.name().data(),
+                         policy.MemoryUsage(), policy.MemoryBound()));
   }
   policy.recent_rejects().ForEach([&](uint64_t key, uint32_t) {
     ++report.checks_run;
     if (shard.key_map().Contains(key)) {
       report.Add("kv.policy.rejected-present",
-                 Fmt("rejected key %llu is cached", (unsigned long long)key));
+                 StrFormat("rejected key %llu is cached", (unsigned long long)key));
     }
   });
 
@@ -265,7 +246,7 @@ CheckReport InvariantChecker::CheckKv(const KvCache& cache, bool faults_possible
         break;
       }
       report.violations.push_back(
-          {std::move(v.invariant), Fmt("shard %u: ", i) + v.detail});
+          {std::move(v.invariant), StrFormat("shard %u: ", i) + v.detail});
     }
     // Cross-shard partition: a shard may only cache keys the router assigns
     // to it, so no object can be cached (or go stale) in two shards at once.
@@ -273,8 +254,8 @@ CheckReport InvariantChecker::CheckKv(const KvCache& cache, bool faults_possible
       ++report.checks_run;
       if (cache.ShardOf(key) != i) {
         report.Add("kv.shard-partition",
-                   Fmt("key %llu cached in shard %u but routed to %u",
-                       (unsigned long long)key, i, cache.ShardOf(key)));
+                   StrFormat("key %llu cached in shard %u but routed to %u",
+                             (unsigned long long)key, i, cache.ShardOf(key)));
       }
     });
   }
@@ -457,8 +438,8 @@ class KvCheckDriver {
                                              op.token}
                              : KvShadowEntry{KvShadowState::kAbsent, 0};
             } else if (st != Status::kNoSpace && st != Status::kBackpressure) {
-              violations_->push_back(Fmt("set key %llu failed: %s",
-                                         (unsigned long long)op.key, StatusName(st).data()));
+              violations_->push_back(StrFormat("set key %llu failed: %s",
+                                               (unsigned long long)op.key, StatusName(st).data()));
             }
             break;
           }
@@ -469,24 +450,24 @@ class KvCheckDriver {
               if (entry.state == KvShadowState::kDirty ||
                   entry.state == KvShadowState::kClean) {
                 if (token != entry.token) {
-                  violations_->push_back(Fmt("kv-G2: live read of key %llu returned a "
-                                             "stale token",
-                                             (unsigned long long)op.key));
+                  violations_->push_back(StrFormat("kv-G2: live read of key %llu returned a "
+                                                   "stale token",
+                                                   (unsigned long long)op.key));
                 }
               } else {
-                violations_->push_back(Fmt("kv-G3: key %llu hit after delete/reject",
-                                           (unsigned long long)op.key));
+                violations_->push_back(StrFormat("kv-G3: key %llu hit after delete/reject",
+                                                 (unsigned long long)op.key));
               }
             } else if (st == Status::kNotPresent) {
               if (entry.state == KvShadowState::kDirty && lost_->count(op.key) == 0) {
-                violations_->push_back(Fmt("kv-G1: live read lost dirty key %llu",
-                                           (unsigned long long)op.key));
+                violations_->push_back(StrFormat("kv-G1: live read lost dirty key %llu",
+                                                 (unsigned long long)op.key));
               }
             } else if (faults_on) {
               lost_->insert(op.key);  // the read error retired the object
             } else {
-              violations_->push_back(Fmt("get key %llu failed: %s",
-                                         (unsigned long long)op.key, StatusName(st).data()));
+              violations_->push_back(StrFormat("get key %llu failed: %s",
+                                               (unsigned long long)op.key, StatusName(st).data()));
             }
             break;
           }
@@ -496,13 +477,13 @@ class KvCheckDriver {
               entry = {KvShadowState::kAbsent, 0};
             } else if (st == Status::kNotPresent) {
               if (entry.state == KvShadowState::kDirty && lost_->count(op.key) == 0) {
-                violations_->push_back(Fmt("kv-G1: delete found dirty key %llu missing",
-                                           (unsigned long long)op.key));
+                violations_->push_back(StrFormat("kv-G1: delete found dirty key %llu missing",
+                                                 (unsigned long long)op.key));
               }
               entry = {KvShadowState::kAbsent, 0};
             } else if (st != Status::kBackpressure) {
-              violations_->push_back(Fmt("delete key %llu failed: %s",
-                                         (unsigned long long)op.key, StatusName(st).data()));
+              violations_->push_back(StrFormat("delete key %llu failed: %s",
+                                               (unsigned long long)op.key, StatusName(st).data()));
             }
             break;
           }
@@ -595,8 +576,9 @@ class KvCheckDriver {
       violations_->push_back(std::string(tag) + " invariant [" + v.invariant + "] " + v.detail);
     }
     if (r.violation_count > r.violations.size()) {
-      violations_->push_back(Fmt("%s invariant: %llu further violations truncated", tag,
-                                 (unsigned long long)(r.violation_count - r.violations.size())));
+      violations_->push_back(
+          StrFormat("%s invariant: %llu further violations truncated", tag,
+                    (unsigned long long)(r.violation_count - r.violations.size())));
     }
   }
 
@@ -619,15 +601,15 @@ class KvCheckDriver {
         const bool matches_new = pending_set && token == pending.token;
         if (!matches_old && !matches_new) {
           if (entry.state == KvShadowState::kAbsent) {
-            violations_->push_back(Fmt("kv-G3: deleted/rejected key %llu resurfaced",
-                                       (unsigned long long)key));
+            violations_->push_back(StrFormat("kv-G3: deleted/rejected key %llu resurfaced",
+                                             (unsigned long long)key));
           } else if (entry.state == KvShadowState::kNone) {
-            violations_->push_back(Fmt("kv: never-set key %llu reads present",
-                                       (unsigned long long)key));
+            violations_->push_back(StrFormat("kv: never-set key %llu reads present",
+                                             (unsigned long long)key));
           } else {
-            violations_->push_back(Fmt("kv-G2: key %llu reads a stale token after "
-                                       "recovery",
-                                       (unsigned long long)key));
+            violations_->push_back(StrFormat("kv-G2: key %llu reads a stale token after "
+                                             "recovery",
+                                             (unsigned long long)key));
           }
         }
       } else if (st == Status::kNotPresent) {
@@ -635,13 +617,13 @@ class KvCheckDriver {
         // that was neither in flight nor destroyed by an injected fault (G1).
         if (entry.state == KvShadowState::kDirty && !is_pending &&
             lost_->count(key) == 0) {
-          violations_->push_back(Fmt("kv-G1: dirty key %llu missing after recovery",
-                                     (unsigned long long)key));
+          violations_->push_back(StrFormat("kv-G1: dirty key %llu missing after recovery",
+                                           (unsigned long long)key));
         }
       } else if (!(faults_on && (entry.state != KvShadowState::kDirty ||
                                  lost_->count(key) != 0 || is_pending))) {
-        violations_->push_back(Fmt("get key %llu errored after recovery: %s",
-                                   (unsigned long long)key, StatusName(st).data()));
+        violations_->push_back(StrFormat("get key %llu errored after recovery: %s",
+                                         (unsigned long long)key, StatusName(st).data()));
       }
     }
   }
@@ -768,41 +750,25 @@ std::string KvCheckReport::ToString() const {
 }
 
 std::string KvCheckReport::ToJson() const {
-  std::string out = Fmt(
-      "{\"kv_check\":{\"mode\":\"%s\",\"commit_points\":%llu,\"points_explored\":%llu,"
-      "\"recovery_points\":%llu,\"recovery_trials\":%llu,\"cycles\":%u,\"ops\":%llu,"
-      "\"mid_workload_crashes\":%llu,\"quiescent_crashes\":%llu,\"recovery_crashes\":%llu,"
-      "\"violations\":%llu,\"budget_exceeded\":%llu,\"max_recovery_us\":%llu}",
-      soak ? "soak" : "explore", (unsigned long long)total_commit_points,
-      (unsigned long long)points_explored, (unsigned long long)total_recovery_points,
-      (unsigned long long)recovery_trials, cycles_run, (unsigned long long)ops_executed,
-      (unsigned long long)mid_workload_crashes, (unsigned long long)quiescent_crashes,
-      (unsigned long long)recovery_crashes, (unsigned long long)violation_count,
-      (unsigned long long)budget_exceeded, (unsigned long long)max_recovery_us);
-  out += Fmt(
-      ",\"kv\":{\"sets\":%llu,\"gets\":%llu,\"hits\":%llu,\"misses\":%llu,\"deletes\":%llu,"
-      "\"overwrites\":%llu,\"rejected_sets\":%llu,\"sets_refused_full\":%llu,"
-      "\"slab_fills\":%llu,\"slab_page_writes\":%llu,\"compactions\":%llu,"
-      "\"slots_reclaimed\":%llu,\"slab_evictions\":%llu,\"lazy_slab_drops\":%llu",
-      (unsigned long long)kv.sets, (unsigned long long)kv.gets, (unsigned long long)kv.hits,
-      (unsigned long long)kv.misses, (unsigned long long)kv.deletes,
-      (unsigned long long)kv.overwrites, (unsigned long long)kv.rejected_sets,
-      (unsigned long long)kv.sets_refused_full, (unsigned long long)kv.slab_fills,
-      (unsigned long long)kv.slab_page_writes, (unsigned long long)kv.compactions,
-      (unsigned long long)kv.slots_reclaimed, (unsigned long long)kv.slab_evictions,
-      (unsigned long long)kv.lazy_slab_drops);
-  out += Fmt(
-      ",\"recoveries\":%llu,\"recovered_slots\":%llu,\"restaged_dirty_slots\":%llu,"
-      "\"dropped_clean_slots\":%llu,\"lost_objects\":%llu},"
-      "\"faults\":{\"program_failures\":%llu,\"erase_failures\":%llu,"
-      "\"read_corruptions\":%llu,\"read_disturbs\":%llu,"
-      "\"retention_failures\":%llu}}",
-      (unsigned long long)kv.recoveries, (unsigned long long)kv.recovered_slots,
-      (unsigned long long)kv.restaged_dirty_slots, (unsigned long long)kv.dropped_clean_slots,
-      (unsigned long long)kv.lost_objects, (unsigned long long)faults.program_failures,
-      (unsigned long long)faults.erase_failures, (unsigned long long)faults.read_corruptions,
-      (unsigned long long)faults.read_disturbs, (unsigned long long)faults.retention_failures);
-  return out;
+  return JsonLine()
+      .Open("kv_check")
+      .Str("mode", soak ? "soak" : "explore")
+      .U64("commit_points", total_commit_points)
+      .U64("points_explored", points_explored)
+      .U64("recovery_points", total_recovery_points)
+      .U64("recovery_trials", recovery_trials)
+      .U64("cycles", cycles_run)
+      .U64("ops", ops_executed)
+      .U64("mid_workload_crashes", mid_workload_crashes)
+      .U64("quiescent_crashes", quiescent_crashes)
+      .U64("recovery_crashes", recovery_crashes)
+      .U64("violations", violation_count)
+      .U64("budget_exceeded", budget_exceeded)
+      .U64("max_recovery_us", max_recovery_us)
+      .Close()
+      .Block("kv", kv)
+      .Block("faults", faults)
+      .str();
 }
 
 KvCheckHarness::KvCheckHarness(const KvCheckOptions& options) : options_(options) {}

@@ -26,6 +26,7 @@
 #include "src/flash/timing.h"
 #include "src/flash/types.h"
 #include "src/util/rng.h"
+#include "src/util/stat_fields.h"
 #include "src/util/status.h"
 
 namespace flashtier {
@@ -61,21 +62,24 @@ struct DiskStats {
   uint64_t retries = 0;         // Guarded* re-attempts after a failure
   uint64_t timeouts = 0;        // Guarded* ops that exhausted their deadline
 
-  // Accumulates another disk's counters (per-shard aggregation).
-  void Merge(const DiskStats& o) {
-    reads += o.reads;
-    writes += o.writes;
-    busy_us += o.busy_us;
-    read_faults += o.read_faults;
-    write_faults += o.write_faults;
-    latent_errors += o.latent_errors;
-    latent_sectors += o.latent_sectors;
-    sector_repairs += o.sector_repairs;
-    slow_ios += o.slow_ios;
-    retries += o.retries;
-    timeouts += o.timeouts;
+  // Merge, == and the --stats-json block derive from this list (stat_fields.h).
+  static constexpr void Fields(auto&& f) {
+    f("reads", &DiskStats::reads, MergeRule::kSum);
+    f("writes", &DiskStats::writes, MergeRule::kSum);
+    f("busy_us", &DiskStats::busy_us, MergeRule::kSum);
+    f("read_faults", &DiskStats::read_faults, MergeRule::kSum);
+    f("write_faults", &DiskStats::write_faults, MergeRule::kSum);
+    f("latent_errors", &DiskStats::latent_errors, MergeRule::kSum);
+    f("latent_sectors", &DiskStats::latent_sectors, MergeRule::kSum);
+    f("sector_repairs", &DiskStats::sector_repairs, MergeRule::kSum);
+    f("slow_ios", &DiskStats::slow_ios, MergeRule::kSum);
+    f("retries", &DiskStats::retries, MergeRule::kSum);
+    f("timeouts", &DiskStats::timeouts, MergeRule::kSum);
   }
+  void Merge(const DiskStats& o) { MergeFields(*this, o); }
+  friend bool operator==(const DiskStats& a, const DiskStats& b) { return FieldsEqual(a, b); }
 };
+static_assert(FieldCount<DiskStats>() * sizeof(uint64_t) == sizeof(DiskStats));
 
 class DiskModel {
  public:

@@ -20,6 +20,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/util/stat_fields.h"
+
 namespace flashtier {
 
 struct FaultPlan {
@@ -64,16 +66,19 @@ struct FaultStats {
   uint64_t read_disturbs = 0;      // corruption onsets caused by read disturb
   uint64_t retention_failures = 0; // corruption onsets caused by retention decay
 
-  // Accumulates another device's counters (per-shard aggregation).
-  void Merge(const FaultStats& o) {
-    program_failures += o.program_failures;
-    erase_failures += o.erase_failures;
-    read_corruptions += o.read_corruptions;
-    crc_mismatches += o.crc_mismatches;
-    read_disturbs += o.read_disturbs;
-    retention_failures += o.retention_failures;
+  // Merge, == and the --stats-json block derive from this list (stat_fields.h).
+  static constexpr void Fields(auto&& f) {
+    f("program_failures", &FaultStats::program_failures, MergeRule::kSum);
+    f("erase_failures", &FaultStats::erase_failures, MergeRule::kSum);
+    f("read_corruptions", &FaultStats::read_corruptions, MergeRule::kSum);
+    f("crc_mismatches", &FaultStats::crc_mismatches, MergeRule::kSum);
+    f("read_disturbs", &FaultStats::read_disturbs, MergeRule::kSum);
+    f("retention_failures", &FaultStats::retention_failures, MergeRule::kSum);
   }
+  void Merge(const FaultStats& o) { MergeFields(*this, o); }
+  friend bool operator==(const FaultStats& a, const FaultStats& b) { return FieldsEqual(a, b); }
 };
+static_assert(FieldCount<FaultStats>() * sizeof(uint64_t) == sizeof(FaultStats));
 
 }  // namespace flashtier
 

@@ -26,6 +26,7 @@
 #include "src/flash/timing.h"
 #include "src/flash/types.h"
 #include "src/util/rng.h"
+#include "src/util/stat_fields.h"
 #include "src/util/status.h"
 
 namespace flashtier {
@@ -52,16 +53,19 @@ struct FlashStats {
   uint64_t gc_copies = 0;  // internal copy-back programs (subset of nothing; counted separately)
   uint64_t busy_us = 0;    // total device busy time charged to the clock
 
-  // Accumulates another device's counters (per-shard aggregation).
-  void Merge(const FlashStats& o) {
-    page_reads += o.page_reads;
-    page_writes += o.page_writes;
-    oob_reads += o.oob_reads;
-    erases += o.erases;
-    gc_copies += o.gc_copies;
-    busy_us += o.busy_us;
+  // Merge, == and the --stats-json block derive from this list (stat_fields.h).
+  static constexpr void Fields(auto&& f) {
+    f("page_reads", &FlashStats::page_reads, MergeRule::kSum);
+    f("page_writes", &FlashStats::page_writes, MergeRule::kSum);
+    f("oob_reads", &FlashStats::oob_reads, MergeRule::kSum);
+    f("erases", &FlashStats::erases, MergeRule::kSum);
+    f("gc_copies", &FlashStats::gc_copies, MergeRule::kSum);
+    f("busy_us", &FlashStats::busy_us, MergeRule::kSum);
   }
+  void Merge(const FlashStats& o) { MergeFields(*this, o); }
+  friend bool operator==(const FlashStats& a, const FlashStats& b) { return FieldsEqual(a, b); }
 };
+static_assert(FieldCount<FlashStats>() * sizeof(uint64_t) == sizeof(FlashStats));
 
 class FlashDevice {
  public:

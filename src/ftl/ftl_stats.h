@@ -5,6 +5,8 @@
 
 #include <cstdint>
 
+#include "src/util/stat_fields.h"
+
 namespace flashtier {
 
 struct FtlStats {
@@ -31,38 +33,42 @@ struct FtlStats {
   uint64_t wl_migrations = 0;    // static wear-leveling block relocations
   uint64_t patrol_repairs = 0;   // disturb/retention-risky blocks refreshed by patrol
 
-  // Accumulates another FTL's counters (per-shard aggregation).
-  void Merge(const FtlStats& o) {
-    host_reads += o.host_reads;
-    host_writes += o.host_writes;
-    host_read_misses += o.host_read_misses;
-    gc_invocations += o.gc_invocations;
-    full_merges += o.full_merges;
-    partial_merges += o.partial_merges;
-    switch_merges += o.switch_merges;
-    silent_evictions += o.silent_evictions;
-    silently_evicted_pages += o.silently_evicted_pages;
-    program_retries += o.program_retries;
-    retired_blocks += o.retired_blocks;
-    dropped_clean_pages += o.dropped_clean_pages;
-    lost_dirty_pages += o.lost_dirty_pages;
-    wl_migrations += o.wl_migrations;
-    patrol_repairs += o.patrol_repairs;
+  // Merge, == and the --stats-json block derive from this list (stat_fields.h).
+  static constexpr void Fields(auto&& f) {
+    f("host_reads", &FtlStats::host_reads, MergeRule::kSum);
+    f("host_writes", &FtlStats::host_writes, MergeRule::kSum);
+    f("host_read_misses", &FtlStats::host_read_misses, MergeRule::kSum);
+    f("gc_invocations", &FtlStats::gc_invocations, MergeRule::kSum);
+    f("full_merges", &FtlStats::full_merges, MergeRule::kSum);
+    f("partial_merges", &FtlStats::partial_merges, MergeRule::kSum);
+    f("switch_merges", &FtlStats::switch_merges, MergeRule::kSum);
+    f("silent_evictions", &FtlStats::silent_evictions, MergeRule::kSum);
+    f("silently_evicted_pages", &FtlStats::silently_evicted_pages, MergeRule::kSum);
+    f("program_retries", &FtlStats::program_retries, MergeRule::kSum);
+    f("retired_blocks", &FtlStats::retired_blocks, MergeRule::kSum);
+    f("dropped_clean_pages", &FtlStats::dropped_clean_pages, MergeRule::kSum);
+    f("lost_dirty_pages", &FtlStats::lost_dirty_pages, MergeRule::kSum);
+    f("wl_migrations", &FtlStats::wl_migrations, MergeRule::kSum);
+    f("patrol_repairs", &FtlStats::patrol_repairs, MergeRule::kSum);
   }
+  void Merge(const FtlStats& o) { MergeFields(*this, o); }
+  friend bool operator==(const FtlStats& a, const FtlStats& b) { return FieldsEqual(a, b); }
 
   // Write amplification = (all flash page programs, including GC copies and
   // metadata) / host page writes - 1 would be "extra writes per block"; the
   // paper's Table 5 reports extra writes per block, e.g. 2.30 means each
   // block written once by the host was written 2.30 *additional* times.
+  // The ratio is reported raw: it falls below 0 when host_writes counts
+  // writes that never programmed a page (e.g. refused under log backpressure).
   double ExtraWritesPerBlock(uint64_t device_page_writes, uint64_t device_gc_copies) const {
     if (host_writes == 0) {
       return 0.0;
     }
     const uint64_t total = device_page_writes + device_gc_copies;
-    const double amp = static_cast<double>(total) / static_cast<double>(host_writes);
-    return amp > 1.0 ? amp - 1.0 : 0.0;
+    return static_cast<double>(total) / static_cast<double>(host_writes) - 1.0;
   }
 };
+static_assert(FieldCount<FtlStats>() * sizeof(uint64_t) == sizeof(FtlStats));
 
 }  // namespace flashtier
 

@@ -11,6 +11,8 @@
 
 #include <cstdint>
 
+#include "src/util/stat_fields.h"
+
 namespace flashtier {
 
 struct KvStats {
@@ -51,46 +53,47 @@ struct KvStats {
   uint64_t restaged_dirty_slots = 0;  // dirty slots rebuilt from the log (G1)
   uint64_t dropped_clean_slots = 0;   // clean slots silently forgotten (G2)
 
-  // Accumulates another shard's counters; callers merge in shard order.
-  void Merge(const KvStats& o) {
-    gets += o.gets;
-    hits += o.hits;
-    open_slab_hits += o.open_slab_hits;
-    misses += o.misses;
-    sets += o.sets;
-    set_bytes += o.set_bytes;
-    overwrites += o.overwrites;
-    rejected_sets += o.rejected_sets;
-    sets_refused_full += o.sets_refused_full;
-    deletes += o.deletes;
-    delete_misses += o.delete_misses;
-    slab_fills += o.slab_fills;
-    slab_page_writes += o.slab_page_writes;
-    compactions += o.compactions;
-    compaction_aborts += o.compaction_aborts;
-    slots_moved += o.slots_moved;
-    slots_reclaimed += o.slots_reclaimed;
-    slab_evictions += o.slab_evictions;
-    evicted_slots += o.evicted_slots;
-    dead_slab_reclaims += o.dead_slab_reclaims;
-    lazy_slab_drops += o.lazy_slab_drops;
-    dropped_slots += o.dropped_slots;
-    slab_cleans += o.slab_cleans;
-    backpressure_stalls += o.backpressure_stalls;
-    read_errors += o.read_errors;
-    lost_objects += o.lost_objects;
-    recoveries += o.recoveries;
-    recovered_slots += o.recovered_slots;
-    restaged_dirty_slots += o.restaged_dirty_slots;
-    dropped_clean_slots += o.dropped_clean_slots;
+  // Merge, == and the --stats-json block derive from this list (stat_fields.h).
+  static constexpr void Fields(auto&& f) {
+    f("gets", &KvStats::gets, MergeRule::kSum);
+    f("hits", &KvStats::hits, MergeRule::kSum);
+    f("open_slab_hits", &KvStats::open_slab_hits, MergeRule::kSum);
+    f("misses", &KvStats::misses, MergeRule::kSum);
+    f("sets", &KvStats::sets, MergeRule::kSum);
+    f("set_bytes", &KvStats::set_bytes, MergeRule::kSum);
+    f("overwrites", &KvStats::overwrites, MergeRule::kSum);
+    f("rejected_sets", &KvStats::rejected_sets, MergeRule::kSum);
+    f("sets_refused_full", &KvStats::sets_refused_full, MergeRule::kSum);
+    f("deletes", &KvStats::deletes, MergeRule::kSum);
+    f("delete_misses", &KvStats::delete_misses, MergeRule::kSum);
+    f("slab_fills", &KvStats::slab_fills, MergeRule::kSum);
+    f("slab_page_writes", &KvStats::slab_page_writes, MergeRule::kSum);
+    f("compactions", &KvStats::compactions, MergeRule::kSum);
+    f("compaction_aborts", &KvStats::compaction_aborts, MergeRule::kSum);
+    f("slots_moved", &KvStats::slots_moved, MergeRule::kSum);
+    f("slots_reclaimed", &KvStats::slots_reclaimed, MergeRule::kSum);
+    f("slab_evictions", &KvStats::slab_evictions, MergeRule::kSum);
+    f("evicted_slots", &KvStats::evicted_slots, MergeRule::kSum);
+    f("dead_slab_reclaims", &KvStats::dead_slab_reclaims, MergeRule::kSum);
+    f("lazy_slab_drops", &KvStats::lazy_slab_drops, MergeRule::kSum);
+    f("dropped_slots", &KvStats::dropped_slots, MergeRule::kSum);
+    f("slab_cleans", &KvStats::slab_cleans, MergeRule::kSum);
+    f("backpressure_stalls", &KvStats::backpressure_stalls, MergeRule::kSum);
+    f("read_errors", &KvStats::read_errors, MergeRule::kSum);
+    f("lost_objects", &KvStats::lost_objects, MergeRule::kSum);
+    f("recoveries", &KvStats::recoveries, MergeRule::kSum);
+    f("recovered_slots", &KvStats::recovered_slots, MergeRule::kSum);
+    f("restaged_dirty_slots", &KvStats::restaged_dirty_slots, MergeRule::kSum);
+    f("dropped_clean_slots", &KvStats::dropped_clean_slots, MergeRule::kSum);
   }
+  void Merge(const KvStats& o) { MergeFields(*this, o); }
+  friend bool operator==(const KvStats& a, const KvStats& b) { return FieldsEqual(a, b); }
 
   double HitRate() const {
     return gets == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(gets);
   }
-
-  friend bool operator==(const KvStats&, const KvStats&) = default;
 };
+static_assert(FieldCount<KvStats>() * sizeof(uint64_t) == sizeof(KvStats));
 
 }  // namespace flashtier
 

@@ -28,6 +28,7 @@
 
 #include "src/flash/types.h"
 #include "src/policy/ghost_table.h"
+#include "src/util/stat_fields.h"
 
 namespace flashtier {
 
@@ -56,14 +57,18 @@ struct PolicyStats {
   uint64_t rejected_then_remissed = 0;
   uint64_t flash_writes_saved = 0;  // page writes the rejects avoided
 
-  void Merge(const PolicyStats& o) {
-    admits += o.admits;
-    rejects += o.rejects;
-    ghost_hits += o.ghost_hits;
-    rejected_then_remissed += o.rejected_then_remissed;
-    flash_writes_saved += o.flash_writes_saved;
+  // Merge, == and the --stats-json block derive from this list (stat_fields.h).
+  static constexpr void Fields(auto&& f) {
+    f("admits", &PolicyStats::admits, MergeRule::kSum);
+    f("rejects", &PolicyStats::rejects, MergeRule::kSum);
+    f("ghost_hits", &PolicyStats::ghost_hits, MergeRule::kSum);
+    f("rejected_then_remissed", &PolicyStats::rejected_then_remissed, MergeRule::kSum);
+    f("flash_writes_saved", &PolicyStats::flash_writes_saved, MergeRule::kSum);
   }
+  void Merge(const PolicyStats& o) { MergeFields(*this, o); }
+  friend bool operator==(const PolicyStats& a, const PolicyStats& b) { return FieldsEqual(a, b); }
 };
+static_assert(FieldCount<PolicyStats>() * sizeof(uint64_t) == sizeof(PolicyStats));
 
 class AdmissionPolicy {
  public:

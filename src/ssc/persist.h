@@ -44,6 +44,7 @@
 #include "src/flash/pipeline.h"
 #include "src/flash/timing.h"
 #include "src/flash/types.h"
+#include "src/util/stat_fields.h"
 
 namespace flashtier {
 
@@ -190,31 +191,34 @@ struct PersistStats {
   uint64_t log_replay_us = 0;
   uint64_t rebuild_us = 0;
 
-  // Accumulates another manager's counters (per-shard aggregation). Recovery
-  // times keep the slowest shard: shards recover in parallel, so the system
-  // is back when the last one is.
-  void Merge(const PersistStats& o) {
-    records_logged += o.records_logged;
-    sync_commits += o.sync_commits;
-    group_commits += o.group_commits;
-    log_page_writes += o.log_page_writes;
-    checkpoints += o.checkpoints;
-    checkpoint_page_writes += o.checkpoint_page_writes;
-    records_lost_in_crash += o.records_lost_in_crash;
-    last_recovery_us = std::max(last_recovery_us, o.last_recovery_us);
-    recovered_checkpoint_entries += o.recovered_checkpoint_entries;
-    replayed_log_records += o.replayed_log_records;
-    corrupt_records_skipped += o.corrupt_records_skipped;
-    checkpoint_fallbacks += o.checkpoint_fallbacks;
-    segment_fallbacks += o.segment_fallbacks;
-    forced_checkpoints += o.forced_checkpoints;
-    backpressure_stalls += o.backpressure_stalls;
-    log_full_events += o.log_full_events;
-    checkpoint_load_us = std::max(checkpoint_load_us, o.checkpoint_load_us);
-    log_replay_us = std::max(log_replay_us, o.log_replay_us);
-    rebuild_us = std::max(rebuild_us, o.rebuild_us);
+  // Merge, == and the --stats-json block derive from this list (stat_fields.h).
+  // Recovery times keep the slowest shard (kMax): shards recover in
+  // parallel, so the system is back when the last one is.
+  static constexpr void Fields(auto&& f) {
+    f("records_logged", &PersistStats::records_logged, MergeRule::kSum);
+    f("sync_commits", &PersistStats::sync_commits, MergeRule::kSum);
+    f("group_commits", &PersistStats::group_commits, MergeRule::kSum);
+    f("log_page_writes", &PersistStats::log_page_writes, MergeRule::kSum);
+    f("checkpoints", &PersistStats::checkpoints, MergeRule::kSum);
+    f("checkpoint_page_writes", &PersistStats::checkpoint_page_writes, MergeRule::kSum);
+    f("records_lost_in_crash", &PersistStats::records_lost_in_crash, MergeRule::kSum);
+    f("last_recovery_us", &PersistStats::last_recovery_us, MergeRule::kMax);
+    f("recovered_checkpoint_entries", &PersistStats::recovered_checkpoint_entries, MergeRule::kSum);
+    f("replayed_log_records", &PersistStats::replayed_log_records, MergeRule::kSum);
+    f("corrupt_records_skipped", &PersistStats::corrupt_records_skipped, MergeRule::kSum);
+    f("checkpoint_fallbacks", &PersistStats::checkpoint_fallbacks, MergeRule::kSum);
+    f("segment_fallbacks", &PersistStats::segment_fallbacks, MergeRule::kSum);
+    f("forced_checkpoints", &PersistStats::forced_checkpoints, MergeRule::kSum);
+    f("backpressure_stalls", &PersistStats::backpressure_stalls, MergeRule::kSum);
+    f("log_full_events", &PersistStats::log_full_events, MergeRule::kSum);
+    f("checkpoint_load_us", &PersistStats::checkpoint_load_us, MergeRule::kMax);
+    f("log_replay_us", &PersistStats::log_replay_us, MergeRule::kMax);
+    f("rebuild_us", &PersistStats::rebuild_us, MergeRule::kMax);
   }
+  void Merge(const PersistStats& o) { MergeFields(*this, o); }
+  friend bool operator==(const PersistStats& a, const PersistStats& b) { return FieldsEqual(a, b); }
 };
+static_assert(FieldCount<PersistStats>() * sizeof(uint64_t) == sizeof(PersistStats));
 
 class PersistenceManager {
  public:

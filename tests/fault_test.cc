@@ -17,6 +17,7 @@
 #include "src/flash/flash_device.h"
 #include "src/ssc/ssc_device.h"
 #include "src/util/rng.h"
+#include "tests/stats_printer.h"
 
 namespace flashtier {
 namespace {
@@ -140,8 +141,7 @@ TEST(FlashFaultTest, ProbabilisticFaultsAreDeterministicPerSeed) {
   };
   const FaultStats a = run(42);
   const FaultStats b = run(42);
-  EXPECT_EQ(a.program_failures, b.program_failures);
-  EXPECT_EQ(a.erase_failures, b.erase_failures);
+  EXPECT_EQ(a, b);
   EXPECT_GT(a.program_failures + a.erase_failures, 0u);
 }
 

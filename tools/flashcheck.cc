@@ -29,6 +29,7 @@
 #include "src/check/soak.h"
 #include "src/policy/policy_factory.h"
 #include "src/util/args.h"
+#include "src/util/json.h"
 
 namespace {
 
@@ -90,11 +91,11 @@ constexpr const char* kUsage =
     "\n"
     "aging options (--aging mode; wear/disturb/retention default ON here):\n"
     "  --aging=N --soak-ops=512 --wl-interval=32 --wl-max-diff=8\n"
-    "  --patrol-interval=64 --patrol-blocks=4 --stats-json=FILE\n"
+    "  --patrol-interval=64 --patrol-blocks=4\n"
     "\n"
     "soak options:\n"
     "  --soak=N --soak-ops=400 --recovery-crash-period=3\n"
-    "  --recovery-budget-us=2400000 --stats-json=FILE\n"
+    "  --recovery-budget-us=2400000\n"
     "\n"
     "kv options (--kv mode):\n"
     "  --kv-keys=512 --slab-pages=1 --no-packing\n"
@@ -103,17 +104,10 @@ constexpr const char* kUsage =
     "  --disk-seed=1 --disk-read-fail=0.01 --disk-write-fail=0.02\n"
     "  --disk-latent=0.002 --disk-slow=0.01\n"
     "  --disk-retry-attempts=4 --disk-deadline-us=250000\n"
-    "  --scrub-period=64 --scrub-budget=8 --write-through --no-crashes\n";
-
-bool WriteStatsJson(const std::string& path, const std::string& json) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  std::fprintf(f, "%s\n", json.c_str());
-  std::fclose(f);
-  return true;
-}
+    "  --scrub-period=64 --scrub-budget=8 --write-through --no-crashes\n"
+    "\n"
+    "stats output (--soak, --aging, --kv and --disk-faults modes):\n"
+    "  --stats-json=FILE      appends one JSON line per run\n";
 
 }  // namespace
 
@@ -244,6 +238,14 @@ int main(int argc, char** argv) {
   }
 
   const std::string stats_json = args.GetString("stats-json", "");
+  // Every mode that reports stats appends one JSON line per run.
+  const auto write_stats = [&stats_json](const std::string& json) {
+    if (stats_json.empty() || flashtier::AppendJsonLine(stats_json, json)) {
+      return true;
+    }
+    std::fprintf(stderr, "flashcheck: cannot write --stats-json file '%s'\n", stats_json.c_str());
+    return false;
+  };
   const int64_t soak_cycles = args.GetInt("soak", 0);
   const int64_t aging_multiple = args.GetInt("aging", 0);
   if (aging_multiple > 0) {
@@ -289,9 +291,7 @@ int main(int argc, char** argv) {
     flashtier::AgingHarness harness(aopts);
     const flashtier::AgingReport report = harness.Run();
     std::printf("flashcheck: %s\n", report.ToString().c_str());
-    if (!stats_json.empty() && !WriteStatsJson(stats_json, report.ToJson())) {
-      std::fprintf(stderr, "flashcheck: cannot write --stats-json file '%s'\n",
-                   stats_json.c_str());
+    if (!write_stats(report.ToJson())) {
       return 2;
     }
     return report.ok() ? 0 : 1;
@@ -333,9 +333,7 @@ int main(int argc, char** argv) {
     flashtier::KvCheckHarness harness(kopts);
     const flashtier::KvCheckReport report = harness.Run();
     std::printf("flashcheck: %s\n", report.ToString().c_str());
-    if (!stats_json.empty() && !WriteStatsJson(stats_json, report.ToJson())) {
-      std::fprintf(stderr, "flashcheck: cannot write --stats-json file '%s'\n",
-                   stats_json.c_str());
+    if (!write_stats(report.ToJson())) {
       return 2;
     }
     return report.ok() ? 0 : 1;
@@ -383,9 +381,7 @@ int main(int argc, char** argv) {
     flashtier::DiskGuardHarness harness(dopts);
     const flashtier::DiskGuardReport report = harness.Run();
     std::printf("flashcheck: %s\n", report.ToString().c_str());
-    if (!stats_json.empty() && !WriteStatsJson(stats_json, report.ToJson())) {
-      std::fprintf(stderr, "flashcheck: cannot write --stats-json file '%s'\n",
-                   stats_json.c_str());
+    if (!write_stats(report.ToJson())) {
       return 2;
     }
     return report.ok() ? 0 : 1;
@@ -419,18 +415,15 @@ int main(int argc, char** argv) {
     flashtier::SoakHarness harness(sopts);
     const flashtier::SoakReport report = harness.Run();
     std::printf("flashcheck: %s\n", report.ToString().c_str());
-    if (!stats_json.empty() &&
-        !WriteStatsJson(stats_json, report.ToJson(sopts.recovery_budget_us))) {
-      std::fprintf(stderr, "flashcheck: cannot write --stats-json file '%s'\n",
-                   stats_json.c_str());
+    if (!write_stats(report.ToJson(sopts.recovery_budget_us))) {
       return 2;
     }
     return report.ok() ? 0 : 1;
   }
   if (!stats_json.empty()) {
     std::fprintf(stderr,
-                 "flashcheck: --stats-json is only produced by --soak, --disk-faults and "
-                 "--aging runs\n");
+                 "flashcheck: --stats-json is only produced by --soak, --aging, --kv and "
+                 "--disk-faults runs\n");
     return 2;
   }
 
