@@ -20,11 +20,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/flashtier.h"
 #include "src/core/replay.h"
 #include "src/kv/kv_stats.h"
+#include "src/trace/trace.h"
 #include "src/trace/trace_stats.h"
 #include "src/trace/workload.h"
 #include "src/util/args.h"
@@ -169,15 +171,27 @@ struct RunResult {
   double mean_response_us = 0.0;
 };
 
-// Builds a system for `type`, replays `profile` (with warmup), returns
-// metrics. The system outlives the call through `system_out` when the caller
-// needs device statistics.
-inline RunResult ReplayWorkload(const WorkloadProfile& profile, const SystemConfig& config,
+// Generates `profile` into memory once, so a bench that replays the same
+// trace against several systems does not regenerate it for each.
+inline VectorTrace MaterializeWorkload(const WorkloadProfile& profile) {
+  SyntheticWorkload workload(profile);
+  std::vector<TraceRecord> records;
+  records.reserve(workload.size_hint());
+  TraceRecord record;
+  while (workload.Next(&record)) {
+    records.push_back(record);
+  }
+  return VectorTrace(std::move(records));
+}
+
+// Replays `trace` (with warmup) on `system`, returns metrics. The system
+// outlives the call so the caller can read device statistics. The trace is
+// rewound afterwards and can be replayed again.
+inline RunResult ReplayWorkload(TraceSource& trace, const SystemConfig& config,
                                 FlashTierSystem* system, double warmup_fraction = 0.15,
                                 bool verify = false, uint32_t threads = 1,
                                 uint32_t queue_depth = 1,
                                 ReplayEngine::VerificationState* verify_state = nullptr) {
-  SyntheticWorkload workload(profile);
   ReplayEngine::Options opts;
   opts.warmup_fraction = warmup_fraction;
   opts.verify = verify;
@@ -188,7 +202,7 @@ inline RunResult ReplayWorkload(const WorkloadProfile& profile, const SystemConf
   opts.resume_verification = verify_state;
   ReplayEngine engine(system, opts);
   RunResult result;
-  result.metrics = engine.Run(workload);
+  result.metrics = engine.Run(trace);
   if (verify && verify_state != nullptr) {
     *verify_state = engine.ExportVerificationState();
   }
@@ -200,6 +214,17 @@ inline RunResult ReplayWorkload(const WorkloadProfile& profile, const SystemConf
                 SystemTypeName(config.type).c_str());
   }
   return result;
+}
+
+// As above, generating `profile` on the fly.
+inline RunResult ReplayWorkload(const WorkloadProfile& profile, const SystemConfig& config,
+                                FlashTierSystem* system, double warmup_fraction = 0.15,
+                                bool verify = false, uint32_t threads = 1,
+                                uint32_t queue_depth = 1,
+                                ReplayEngine::VerificationState* verify_state = nullptr) {
+  SyntheticWorkload workload(profile);
+  return ReplayWorkload(workload, config, system, warmup_fraction, verify, threads, queue_depth,
+                        verify_state);
 }
 
 // Response-time columns shared by the block and KV stats lines; `Metrics` is

@@ -41,6 +41,8 @@ int Main(int argc, char** argv) {
   std::printf("\n");
 
   for (const WorkloadProfile& profile : profiles) {
+    // Generated once, replayed against all five systems.
+    VectorTrace trace = MaterializeWorkload(profile);
     double native_iops = 0.0;
     std::printf("%-8s", profile.name.c_str());
     std::fflush(stdout);
@@ -53,7 +55,7 @@ int Main(int argc, char** argv) {
       config.shards = parallel.shards;
       config.admission = admission;
       FlashTierSystem system(config);
-      const RunResult r = ReplayWorkload(profile, config, &system, 0.15,
+      const RunResult r = ReplayWorkload(trace, config, &system, 0.15,
                                          args.GetBool("verify", false), parallel.threads,
                                          parallel.depth);
       AppendStatsJson(args.GetString("stats-json", ""), "fig3", profile, config, &system, r);

@@ -23,7 +23,9 @@ uint32_t PersistenceManager::SegmentCrc(const CheckpointSegment& seg) {
                              static_cast<uint64_t>(seg.entries.size())};
   uint32_t crc = Crc32c(header, sizeof(header));
   for (const CheckpointEntry& e : seg.entries) {
-    const uint64_t fields[] = {static_cast<uint64_t>(e.block_level), e.key, e.ppn,
+    // The level word carries the KV flag in bit 1, as the serialized level
+    // byte does, so a flipped flag fails the segment's CRC.
+    const uint64_t fields[] = {uint64_t{e.block_level} | uint64_t{e.kv} << 1, e.key, e.ppn,
                                e.present_bits, e.dirty_bits};
     crc = Crc32c(crc, fields, sizeof(fields));
   }

@@ -53,6 +53,31 @@ class CheckTestPeer {
   static void EraseDirtyTableEntry(WriteBackManager& manager, Lbn lbn) {
     manager.dirty_table_.Erase(lbn);
   }
+
+  // Flips the KV flag of the entry for `key` in the live checkpoint, leaving
+  // its segment CRC as written (one rotted bit in the level byte).
+  static bool FlipCheckpointKvFlag(PersistenceManager& pm, Lbn key) {
+    for (CheckpointSegment& seg : pm.regions_[pm.current_region_]) {
+      for (CheckpointEntry& e : seg.entries) {
+        if (e.key == key) {
+          e.kv = !e.kv;
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  static bool PageMapHas(const SscDevice& ssc, Lbn lbn) {
+    return ssc.page_map_.Contains(lbn);
+  }
+
+  static uint32_t RecordCrc(const LogRecord& record) {
+    return PersistenceManager::RecordCrc(record);
+  }
+  static uint32_t SegmentCrc(const CheckpointSegment& seg) {
+    return PersistenceManager::SegmentCrc(seg);
+  }
 };
 
 namespace {
@@ -191,6 +216,89 @@ TEST(InvariantCheckerTest, AuditHookFiresOnGcAndPasses) {
   RunMixedWorkload(ssc, 1200);
   EXPECT_GT(ssc.ftl_stats().gc_invocations, 0u);
   EXPECT_GT(audits, 0u);
+}
+
+TEST(CheckpointCrcTest, RecordAndSegmentCrcsMatchGoldenValues) {
+  // The CRCs are part of the simulated on-flash format: a change to a
+  // constant here is a format change. The record and the non-KV segment
+  // values were produced by the original byte-at-a-time CRC; the KV value
+  // pins the flag's place in the level word (bit 1).
+  LogRecord record;
+  record.lsn = 1234567;
+  record.type = LogOpType::kInsertBlock;
+  record.key = 0x1f00;
+  record.ppn = 0x3c40;
+  record.present_bits = 0xffff0000ffff0000ull;
+  record.dirty_bits = 0xffff0000ull;
+  EXPECT_EQ(CheckTestPeer::RecordCrc(record), 0x59353db5u);
+
+  CheckpointSegment seg;
+  seg.generation = 7;
+  seg.base_lsn = 1234567;
+  CheckpointEntry block;
+  block.block_level = true;
+  block.key = 0x1f00;
+  block.ppn = 0x3c40;
+  block.present_bits = ~uint64_t{0};
+  block.dirty_bits = 0x0f0f;
+  CheckpointEntry dirty_page;
+  dirty_page.key = 512;
+  dirty_page.ppn = 9001;
+  dirty_page.present_bits = 1;
+  dirty_page.dirty_bits = 1;
+  CheckpointEntry clean_page;
+  clean_page.key = 513;
+  clean_page.ppn = 9002;
+  clean_page.present_bits = 1;
+  seg.entries = {block, dirty_page, clean_page};
+  EXPECT_EQ(CheckTestPeer::SegmentCrc(seg), 0xd4eaecc8u);
+
+  seg.entries[2].kv = true;
+  EXPECT_EQ(CheckTestPeer::SegmentCrc(seg), 0x6a86b06fu);
+}
+
+TEST(CheckpointCrcTest, FlippedKvFlagFallsBackInsteadOfReachingPageMap) {
+  constexpr Lbn kKvKey = 1'000'000;  // an object key, far outside the LBN range
+  SimClock clock;
+  SscDevice ssc(SmallConfig(), &clock);
+  // Stands in for the KV layer: every checkpoint carries one slot entry.
+  ssc.set_kv_snapshot_source([] {
+    CheckpointEntry slot;
+    slot.kv = true;
+    slot.key = kKvKey;
+    slot.ppn = 40;
+    slot.present_bits = 0x1234;
+    slot.dirty_bits = 9;
+    return std::vector<CheckpointEntry>{slot};
+  });
+  PersistenceManager& pm = *ssc.persist_for_testing();
+  for (Lbn lbn = 0; lbn < 20; ++lbn) {
+    ASSERT_EQ(ssc.WriteDirty(lbn, 7000 + lbn), Status::kOk);
+  }
+  pm.ForceCheckpoint();
+  for (Lbn lbn = 20; lbn < 40; ++lbn) {
+    ASSERT_EQ(ssc.WriteDirty(lbn, 7000 + lbn), Status::kOk);
+  }
+  pm.ForceCheckpoint();
+
+  ASSERT_TRUE(CheckTestPeer::FlipCheckpointKvFlag(pm, kKvKey));
+  ssc.SimulateCrash();
+  ASSERT_EQ(ssc.Recover(), Status::kOk);
+
+  // The segment fails its CRC and falls back to the previous generation,
+  // whose copy of the slot entry still reaches the KV layer.
+  EXPECT_EQ(ssc.persist_stats().segment_fallbacks, 1u);
+  EXPECT_FALSE(CheckTestPeer::PageMapHas(ssc, kKvKey));
+  const SscDevice::RecoveredKv kv = ssc.TakeRecoveredKv();
+  ASSERT_EQ(kv.checkpoint.size(), 1u);
+  EXPECT_EQ(kv.checkpoint[0].key, kKvKey);
+  for (Lbn lbn = 0; lbn < 40; ++lbn) {
+    uint64_t token = 0;
+    ASSERT_EQ(ssc.Read(lbn, &token), Status::kOk) << "lbn " << lbn;
+    EXPECT_EQ(token, 7000 + lbn);
+  }
+  const CheckReport report = InvariantChecker::Check(ssc);
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST(CrashExplorerTest, RealRecoveryClearsEveryCommitPoint) {

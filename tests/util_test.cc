@@ -31,6 +31,10 @@ TEST(Crc32cTest, KnownVectors) {
 
   const std::string s = "123456789";
   EXPECT_EQ(Crc32c(s.data(), s.size()), 0xe3069283u);
+
+  EXPECT_EQ(Crc32cPortable(0, zeros, 32), 0x8a9136aau);
+  EXPECT_EQ(Crc32cPortable(0, ones, 32), 0x62a8ab43u);
+  EXPECT_EQ(Crc32cPortable(0, s.data(), s.size()), 0xe3069283u);
 }
 
 TEST(Crc32cTest, IncrementalMatchesOneShot) {
@@ -41,6 +45,29 @@ TEST(Crc32cTest, IncrementalMatchesOneShot) {
     inc = Crc32c(0, data.data(), split);
     inc = Crc32c(inc, data.data() + split, data.size() - split);
     EXPECT_EQ(inc, whole) << "split at " << split;
+  }
+}
+
+TEST(Crc32cTest, HardwareMatchesPortable) {
+  // Lengths cover a 4 KB page payload plus tails of every residue mod 8;
+  // start offsets cover every alignment of the 8-byte steps. On a CPU
+  // without SSE4.2 both calls take the portable path and agree trivially.
+  constexpr size_t kMaxLen = 4200;
+  Rng rng(77);
+  std::vector<uint8_t> buf(kMaxLen + 8);
+  for (auto& b : buf) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (size_t len = 0; len <= kMaxLen; ++len) {
+    for (size_t off = 0; off < 8; ++off) {
+      const uint8_t* p = buf.data() + off;
+      const auto seed = static_cast<uint32_t>(rng.Next());
+      const uint32_t want = Crc32cPortable(seed, p, len);
+      ASSERT_EQ(Crc32c(seed, p, len), want) << "len " << len << " off " << off;
+      const size_t split = rng.Below(len + 1);
+      ASSERT_EQ(Crc32c(Crc32c(seed, p, split), p + split, len - split), want)
+          << "len " << len << " off " << off << " split " << split;
+    }
   }
 }
 
