@@ -8,7 +8,14 @@ match after dropping the host wall-clock and thread fields, whose values vary
 run to run. To regenerate a baseline after a deliberate change, run its
 command from BASELINES (from the repository root) and copy the output over.
 
-usage: baseline_test.py BUILD_DIR SOURCE_DIR
+The flashcheck matrix (MATRIX) is the CI's whole flashcheck surface in one
+file: each `$ ARGS` row pins the exit code, every stdout line (`> `) and the
+`--stats-json` line (`json `) that `tools/flashcheck ARGS` produces, and the
+rows' JSON files are left in BUILD_DIR/baseline_test/ as CI artifacts. After
+a deliberate change, `--regenerate-matrix` rewrites the results of the rows
+the file lists (add or drop a row by editing its `$` line).
+
+usage: baseline_test.py BUILD_DIR SOURCE_DIR [--regenerate-matrix]
 """
 
 import json
@@ -34,6 +41,9 @@ BASELINES = [
     ('kv_smoke_baseline.json', 'dicts',
      [['bench/bench_ablation_kv', '--scale=0.2']]),
 ]
+
+# Every flashcheck invocation the CI gates on, with its pinned results.
+MATRIX = 'flashcheck_matrix_baseline.txt'
 
 
 def strip(line):
@@ -75,14 +85,76 @@ def check(build_dir, source_dir, out_dir, name, mode, commands):
     return False
 
 
+def run_matrix(build_dir, out_dir, text):
+    """Runs every `$` row of the matrix text; returns the text with fresh results."""
+    def json_path(args):
+        for arg in args:
+            if arg.startswith('--stats-json='):
+                return os.path.join(out_dir, arg.split('=', 1)[1])
+        return None
+
+    rows = [line[1:].split() for line in text.splitlines() if line.startswith('$')]
+    for path in filter(None, map(json_path, rows)):
+        if os.path.exists(path):
+            os.remove(path)  # rows append; start every file empty
+    out = []
+    for line in text.splitlines():
+        if not line.startswith('$'):
+            if line.startswith('#') or not line.strip():
+                out.append(line)  # comments and spacing are the file's own
+            continue
+        args = line[1:].split()
+        path = json_path(args)
+        argv = [os.path.join(build_dir, 'tools', 'flashcheck')] + [
+            '--stats-json=' + path if a.startswith('--stats-json=') else a for a in args]
+        offset = os.path.getsize(path) if path and os.path.exists(path) else 0
+        run = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        out += [' '.join(['$'] + args), f'exit {run.returncode}']
+        out += ['> ' + l for l in run.stdout.splitlines()]
+        if path and os.path.exists(path):
+            with open(path) as f:
+                f.seek(offset)
+                out += ['json ' + l for l in f.read().splitlines()]
+    return '\n'.join(out) + '\n'
+
+
+def check_matrix(build_dir, source_dir, out_dir, regenerate):
+    path = os.path.join(source_dir, 'tests', 'baselines', MATRIX)
+    with open(path) as f:
+        want = f.read()
+    got = run_matrix(build_dir, out_dir, want)
+    rows = want.count('\n$')
+    if regenerate:
+        with open(path, 'w') as f:
+            f.write(got)
+        print(f'{MATRIX}: regenerated {rows} rows')
+        return True
+    if got == want:
+        print(f'{MATRIX}: {rows} flashcheck rows match (exit code, stdout, json)')
+        return True
+    for g, w in zip(got.split('\n$'), want.split('\n$')):
+        if g != w:
+            print(f'{MATRIX}: DRIFT in row\n  got:  ' + g.replace('\n', '\n        ') +
+                  '\n  want: ' + w.replace('\n', '\n        '))
+            break
+    else:
+        print(f'{MATRIX}: DRIFT (row count differs)')
+    return False
+
+
 def main():
-    if len(sys.argv) != 3:
+    regenerate = '--regenerate-matrix' in sys.argv[1:]
+    argv = [a for a in sys.argv[1:] if a != '--regenerate-matrix']
+    if len(argv) != 2:
         print(__doc__)
         return 2
-    build_dir, source_dir = sys.argv[1], sys.argv[2]
+    build_dir, source_dir = argv
     out_dir = os.path.join(build_dir, 'baseline_test')
     os.makedirs(out_dir, exist_ok=True)
+    if regenerate:
+        return 0 if check_matrix(build_dir, source_dir, out_dir, True) else 1
     results = [check(build_dir, source_dir, out_dir, *entry) for entry in BASELINES]
+    results.append(check_matrix(build_dir, source_dir, out_dir, False))
     return 0 if all(results) else 1
 
 

@@ -1,7 +1,7 @@
 // Tests for the FlashCheck library: the InvariantChecker must pass healthy
 // devices, flag planted corruptions, and run from the SSC audit hook; the
-// CrashExplorer must clear a real workload at every commit point and must
-// detect a deliberately broken recovery path.
+// FlashCheck runner's explorer must clear a real workload at every commit
+// point and must detect a deliberately broken recovery path.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "src/cache/write_back.h"
-#include "src/check/crash_explorer.h"
 #include "src/check/invariant_checker.h"
+#include "src/check/runner.h"
 #include "src/disk/disk_model.h"
 #include "src/ssc/ssc_device.h"
 
@@ -302,23 +302,21 @@ TEST(CheckpointCrcTest, FlippedKvFlagFallsBackInsteadOfReachingPageMap) {
 }
 
 TEST(CrashExplorerTest, RealRecoveryClearsEveryCommitPoint) {
-  CrashExplorerOptions options;
+  FlashCheckConfig options;
   options.ops = 400;
-  CrashExplorer explorer(options);
-  const CrashExplorerReport report = explorer.Explore();
+  const FlashCheckReport report = RunFlashCheck(CheckTarget::kSsc, options);
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_GE(report.points_explored, 100u) << report.ToString();
 }
 
 TEST(CrashExplorerTest, DetectsRecoveryThatSkipsLogTail) {
-  CrashExplorerOptions options;
+  FlashCheckConfig options;
   options.ops = 300;
   options.break_recovery = true;
   // Structural invariants still hold in the broken recovery (the state is
   // merely stale); the shadow model is what must catch it.
   options.run_invariant_checker = false;
-  CrashExplorer explorer(options);
-  const CrashExplorerReport report = explorer.Explore();
+  const FlashCheckReport report = RunFlashCheck(CheckTarget::kSsc, options);
   EXPECT_FALSE(report.ok());
   EXPECT_GT(report.violation_count, 0u);
 }

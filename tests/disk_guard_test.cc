@@ -1,15 +1,15 @@
 // DiskGuard end-to-end tests: the cache managers over a failing disk tier.
 // Covers cache-as-rescue reads, writeback parking/redrive, the cache-driven
 // scrubber, disk-degraded escalation, the native manager's clean-victim
-// fallback, honest write-through refusals, and the DiskGuardHarness itself.
+// fallback, honest write-through refusals, and the FlashCheck disk target.
 
 #include <gtest/gtest.h>
 
 #include "src/cache/native.h"
 #include "src/cache/write_back.h"
 #include "src/cache/write_through.h"
-#include "src/check/disk_guard.h"
 #include "src/check/invariant_checker.h"
+#include "src/check/runner.h"
 
 namespace flashtier {
 namespace {
@@ -288,10 +288,10 @@ TEST(DiskGuardTest, NativeFallsBackToCleanVictimWhenWritebackFails) {
   EXPECT_EQ(rig.manager->stats().lost_dirty, 0u);
 }
 
-// ---- The DiskGuardHarness itself ----
+// ---- The FlashCheck runner's disk target ----
 
-DiskGuardOptions SmallStorm() {
-  DiskGuardOptions o;
+FlashCheckConfig SmallStorm() {
+  FlashCheckConfig o;
   o.cycles = 3;
   o.ops_per_cycle = 250;
   o.shards = 2;
@@ -304,8 +304,7 @@ DiskGuardOptions SmallStorm() {
 }
 
 TEST(DiskGuardHarnessTest, WriteBackStormRunsClean) {
-  DiskGuardHarness harness(SmallStorm());
-  const DiskGuardReport report = harness.Run();
+  const FlashCheckReport report = RunFlashCheck(CheckTarget::kDisk, SmallStorm());
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_EQ(report.cycles_run, 3u);
   EXPECT_GT(report.ops_executed, 0u);
@@ -314,19 +313,16 @@ TEST(DiskGuardHarnessTest, WriteBackStormRunsClean) {
 }
 
 TEST(DiskGuardHarnessTest, WriteThroughStormRunsClean) {
-  DiskGuardOptions o = SmallStorm();
+  FlashCheckConfig o = SmallStorm();
   o.write_through = true;
-  DiskGuardHarness harness(o);
-  const DiskGuardReport report = harness.Run();
+  const FlashCheckReport report = RunFlashCheck(CheckTarget::kDisk, o);
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_GT(report.ops_executed, 0u);
 }
 
 TEST(DiskGuardHarnessTest, ReportIsBitIdenticalAcrossRuns) {
-  DiskGuardHarness a(SmallStorm());
-  DiskGuardHarness b(SmallStorm());
-  const DiskGuardReport ra = a.Run();
-  const DiskGuardReport rb = b.Run();
+  const FlashCheckReport ra = RunFlashCheck(CheckTarget::kDisk, SmallStorm());
+  const FlashCheckReport rb = RunFlashCheck(CheckTarget::kDisk, SmallStorm());
   // Full counter dump equality: the storm is a deterministic function of the
   // seed, including every fault draw, retry, park and crash.
   EXPECT_EQ(ra.ToJson(), rb.ToJson());

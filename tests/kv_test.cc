@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "src/check/invariant_checker.h"
-#include "src/check/kv_check.h"
+#include "src/check/runner.h"
 #include "src/kv/kv_cache.h"
 #include "src/kv/kv_replay.h"
 #include "src/trace/workload.h"
@@ -453,13 +453,12 @@ TEST(KvCheckTest, AuditCatchesPageEvictedBehindTheDirectory) {
 }
 
 TEST(KvCheckTest, ExplorerSmokeRunsClean) {
-  KvCheckOptions options;
+  FlashCheckConfig options;
   options.ops = 120;
   options.keys = 64;
   options.max_points = 120;
   options.explore_recovery_points = false;
-  KvCheckHarness harness(options);
-  const KvCheckReport report = harness.Run();
+  const FlashCheckReport report = RunFlashCheck(CheckTarget::kKv, options);
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_GT(report.total_commit_points, 0u);
   EXPECT_GT(report.points_explored, 0u);
@@ -467,13 +466,12 @@ TEST(KvCheckTest, ExplorerSmokeRunsClean) {
 }
 
 TEST(KvCheckTest, SoakSmokeRunsClean) {
-  KvCheckOptions options;
-  options.soak_cycles = 5;
-  options.soak_ops = 150;
+  FlashCheckConfig options;
+  options.cycles = 5;
+  options.ops_per_cycle = 150;
   options.keys = 64;
   options.shards = 2;
-  KvCheckHarness harness(options);
-  const KvCheckReport report = harness.Run();
+  const FlashCheckReport report = RunFlashCheck(CheckTarget::kKv, options);
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_EQ(report.cycles_run, 5u);
   EXPECT_GT(report.ops_executed, 0u);
