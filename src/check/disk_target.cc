@@ -177,8 +177,8 @@ bool DiskTarget::RunOps(uint64_t seed, uint32_t ops, Violations* out) {
           sh.alt = token;
           sh.history.push_back(token);
         } else {
-          out->push_back(StrFormat("write lbn %llu: unexpected status %s",
-                                   (unsigned long long)lbn, std::string(StatusName(s)).c_str()));
+          out->push_back(StrFormat("write lbn %llu: unexpected status %s", (unsigned long long)lbn,
+                                   std::string(StatusName(s)).c_str()));
         }
       } else {
         uint64_t token_out = 0;

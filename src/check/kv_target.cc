@@ -236,13 +236,15 @@ void KvTarget::Verify(bool settle, Violations* out) {
       if (matches_old || matches_new) {
         continue;
       }
-      out->push_back(
-          entry.state == KvShadowState::kAbsent
-              ? StrFormat("kv-G3: deleted/rejected key %llu resurfaced", (unsigned long long)key)
-          : entry.state == KvShadowState::kNone
-              ? StrFormat("kv: never-set key %llu reads present", (unsigned long long)key)
-              : StrFormat("kv-G2: key %llu reads a stale token after recovery",
-                          (unsigned long long)key));
+      if (entry.state == KvShadowState::kAbsent) {
+        out->push_back(
+            StrFormat("kv-G3: deleted/rejected key %llu resurfaced", (unsigned long long)key));
+      } else if (entry.state == KvShadowState::kNone) {
+        out->push_back(StrFormat("kv: never-set key %llu reads present", (unsigned long long)key));
+      } else {
+        out->push_back(StrFormat("kv-G2: key %llu reads a stale token after recovery",
+                                 (unsigned long long)key));
+      }
     } else if (st == Status::kNotPresent) {
       // A miss is legal for everything except an acknowledged dirty object
       // that was neither in flight nor destroyed by an injected fault (G1).
@@ -265,9 +267,8 @@ void KvTarget::Verify(bool settle, Violations* out) {
   if (!IsOk(cache_.Get(pending_.key, &token))) {
     entry = {KvShadowState::kAbsent, 0};
   } else if (token == pending_.token) {
-    entry = {pending_.kind == KvOpKind::kSetDirty ? KvShadowState::kDirty
-                                                  : KvShadowState::kClean,
-             token};
+    const bool dirty = pending_.kind == KvOpKind::kSetDirty;
+    entry = {dirty ? KvShadowState::kDirty : KvShadowState::kClean, token};
   }  // else: the old version survived; the entry already describes it.
 }
 

@@ -77,8 +77,9 @@ const char* ValidateFlashCheckConfig(CheckTarget target, const FlashCheckConfig&
   if (schedule == CheckSchedule::kExplore && c.ops_per_cycle != d.ops_per_cycle) {
     return "--soak-ops needs --soak, --aging or --disk-faults";
   }
-  if (schedule != CheckSchedule::kSoak && (c.recovery_crash_period != d.recovery_crash_period ||
-                                           c.recovery_budget_us != d.recovery_budget_us)) {
+  if (schedule != CheckSchedule::kSoak &&
+      (c.recovery_crash_period != d.recovery_crash_period ||
+       c.recovery_budget_us != d.recovery_budget_us)) {
     return "--recovery-crash-period and --recovery-budget-us need --soak or --disk-faults";
   }
   if (schedule != CheckSchedule::kAging &&
@@ -356,8 +357,8 @@ void Explore(CheckTarget kind, const FlashCheckConfig& c, FlashCheckReport* repo
     uint64_t points = 0;
     uint64_t recovery_points = 0;
     uint64_t recovery_crashes = 0;
-    const bool crashed = RunArmed(*t, c.seed, c.ops, countdown, &points,
-                                  probe ? &kinds : nullptr, probe && c.verbose, &found);
+    const bool crashed = RunArmed(*t, c.seed, c.ops, countdown, &points, probe ? &kinds : nullptr,
+                                  probe && c.verbose, &found);
     // Checking must not destroy state: pause new fault draws from here on.
     t->PauseFaults(true);
     // A completed script's live state must be sound too: this catches fault-

@@ -542,9 +542,8 @@ void SscSet::RebuildPolicies() {
 void SscSet::Audit(const std::string& phase, Violations* out) {
   // Every shard, plus partition disjointness across shards; then each
   // policy's memory bound and rejected-block absence.
-  AddAudit(phase + " invariant",
-           InvariantChecker::CheckSharded(
-               std::vector<const SscDevice*>(sscs_.begin(), sscs_.end()), router_), out);
+  const std::vector<const SscDevice*> shards(sscs_.begin(), sscs_.end());
+  AddAudit(phase + " invariant", InvariantChecker::CheckSharded(shards, router_), out);
   for (size_t i = 0; i < devices_.size(); ++i) {
     AddAudit(phase + " policy", InvariantChecker::CheckPolicy(*policies_[i], devices_[i].get()),
              out);
