@@ -40,6 +40,8 @@ BASELINES = [
       ['bench/bench_ablation_admission', '--scale=0.02', '--workload=usr']]),
     ('kv_smoke_baseline.json', 'dicts',
      [['bench/bench_ablation_kv', '--scale=0.2']]),
+    ('fig3_smoke_baseline.json', 'dicts',
+     [['bench/bench_fig3_performance', '--scale=0.02']]),
 ]
 
 # Every flashcheck invocation the CI gates on, with its pinned results.

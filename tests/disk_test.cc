@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "src/disk/disk_model.h"
+#include "src/util/rng.h"
 
 namespace flashtier {
 namespace {
@@ -222,6 +225,70 @@ TEST_F(DiskFaultTest, WriteRunFailsAtomically) {
     uint64_t token = 0;
     ASSERT_EQ(disk_.Read(lbn, &token), Status::kOk);
     EXPECT_EQ(token, DiskModel::OriginalToken(lbn));  // nothing landed
+  }
+}
+
+// The content store grows through many table resizes while single writes,
+// runs and overwrites land; scripted write faults reject a few of them, at
+// sizes before and after resizes. Every read returns the newest acknowledged
+// token, or the original content of a block never written.
+TEST_F(DiskFaultTest, ContentStoreSurvivesGrowthOverwritesAndRejectedRuns) {
+  DiskFaultPlan plan;
+  plan.write_fail_at = {7, 20'001, 45'000, 60'003};
+  Arm(plan);
+  Rng rng(41);
+  std::unordered_map<Lbn, uint64_t> shadow;
+  std::vector<Lbn> written;
+  uint64_t version = 0;
+  std::vector<Lbn> rejected;  // first blocks of rejected writes
+  const auto land = [&](Lbn start, size_t n) {
+    std::vector<uint64_t> tokens(n);
+    for (uint64_t& t : tokens) {
+      t = ++version;
+    }
+    const Status s = n == 1 ? disk_.Write(start, tokens[0]) : disk_.WriteRun(start, tokens);
+    if (s == Status::kIoError) {
+      rejected.push_back(start);  // it must leave every block it covers untouched
+      return;
+    }
+    ASSERT_EQ(s, Status::kOk);
+    for (size_t i = 0; i < n; ++i) {
+      if (shadow.emplace(start + i, tokens[i]).second) {
+        written.push_back(start + i);
+      } else {
+        shadow[start + i] = tokens[i];
+      }
+    }
+  };
+  // Distinct extents scattered over a sparse address space.
+  Lbn next = 0;
+  while (shadow.size() < 150'000) {
+    next += 1 + rng.Below(1u << 20);
+    const size_t n = rng.Chance(0.5) ? 1 : 2 + rng.Below(15);
+    land(next, n);
+    next += n;
+  }
+  for (int i = 0; i < 30'000; ++i) {
+    const Lbn lbn = written[rng.Below(written.size())];
+    land(lbn, rng.Chance(0.5) ? 1 : 2 + rng.Below(4));
+  }
+  ASSERT_EQ(rejected.size(), 4u);
+  EXPECT_EQ(disk_.stats().write_faults, 4u);
+  // The first rejection hit a fresh extent, before any resize.
+  uint64_t token = 0;
+  ASSERT_EQ(disk_.Read(rejected[0], &token), Status::kOk);
+  EXPECT_EQ(shadow.count(rejected[0]), 0u);
+  EXPECT_EQ(token, DiskModel::OriginalToken(rejected[0]));
+  for (const auto& [lbn, want] : shadow) {
+    ASSERT_EQ(disk_.Read(lbn, &token), Status::kOk);
+    ASSERT_EQ(token, want) << "lbn " << lbn;
+  }
+  for (int i = 0; i < 10'000; ++i) {
+    const Lbn lbn = rng.Below(next + 1000);
+    if (shadow.count(lbn) == 0) {
+      ASSERT_EQ(disk_.Read(lbn, &token), Status::kOk);
+      ASSERT_EQ(token, DiskModel::OriginalToken(lbn)) << "lbn " << lbn;
+    }
   }
 }
 

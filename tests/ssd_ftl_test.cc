@@ -8,6 +8,7 @@
 #include "src/ftl/block_allocator.h"
 #include "src/ssd/ssd_ftl.h"
 #include "src/util/rng.h"
+#include "tests/stats_printer.h"
 
 namespace flashtier {
 namespace {
@@ -313,6 +314,151 @@ TEST(SsdFtlTest, RetirementExhaustionFailsWritesCleanly) {
     }
   }
   EXPECT_GT(spot_checked, 0u);
+}
+
+// Counters and memory after one seeded mapping-equivalence run.
+struct EquivalenceRun {
+  FtlStats ftl;
+  FlashStats flash;
+  FaultStats faults;
+  size_t device_mem = 0;
+  uint64_t lost_pages = 0;  // shadow entries a fault made unreadable
+  uint64_t failed_writes = 0;
+};
+
+// Drives a seeded mix of whole-block sequential writes, random overwrites,
+// trims and reads on a 64-block device and checks every read against a
+// shadow map. Writes come in 64-op chunks so log blocks line up with logical
+// blocks (switch merges) until random chunks interleave them (full merges);
+// a program fault leaves a sequential prefix behind (partial merges). With
+// faults, a read may fail or miss a page a merge could not move, but a
+// successful read must still return the newest acknowledged token.
+EquivalenceRun RunMapEquivalence(const FaultPlan& plan) {
+  SimClock clock;
+  SsdFtl::Options o = SmallOptions();
+  o.fault_plan = plan;
+  SsdFtl ssd(kSmallPages, &clock, o);
+  const uint64_t pages_per_block = ssd.device().geometry().pages_per_block;
+  const uint64_t blocks = kSmallPages / pages_per_block;
+  Rng rng(77);
+  std::unordered_map<uint64_t, uint64_t> shadow;
+  EquivalenceRun run;
+  uint64_t version = 0;
+  const auto write = [&](uint64_t lpn) {
+    const uint64_t token = (++version << 16) | lpn;
+    const Status s = ssd.Write(lpn, token);
+    if (IsOk(s)) {
+      shadow[lpn] = token;
+    } else {
+      // A refused write leaves the previous version mapped.
+      EXPECT_TRUE(plan.enabled) << "lpn " << lpn << ": " << StatusName(s);
+      ++run.failed_writes;
+    }
+  };
+  const auto read = [&](uint64_t lpn) {
+    uint64_t token = 0;
+    const Status s = ssd.Read(lpn, &token);
+    const auto it = shadow.find(lpn);
+    if (s == Status::kOk) {
+      ASSERT_NE(it, shadow.end()) << "lpn " << lpn;
+      ASSERT_EQ(token, it->second) << "lpn " << lpn;
+    } else if (s == Status::kNotPresent) {
+      if (it != shadow.end()) {
+        ASSERT_TRUE(plan.enabled) << "lpn " << lpn;
+        shadow.erase(it);
+        ++run.lost_pages;
+      }
+    } else {
+      ASSERT_TRUE(plan.enabled && s == Status::kCorrupt) << "lpn " << lpn;
+    }
+  };
+  for (uint32_t chunk = 0; chunk < 1200; ++chunk) {
+    const uint64_t roll = rng.Below(10);
+    if (roll < 4) {
+      const uint64_t first = rng.Below(blocks) * pages_per_block;
+      for (uint64_t off = 0; off < pages_per_block; ++off) {
+        write(first + off);
+      }
+    } else {
+      // Exactly one log block's worth of writes, with trims and reads mixed in.
+      for (uint64_t writes = 0; writes < pages_per_block;) {
+        const uint64_t lpn = rng.Below(kSmallPages);
+        const uint64_t op = rng.Below(10);
+        if (op < 6) {
+          write(lpn);
+          ++writes;
+        } else if (op < 7) {
+          EXPECT_EQ(ssd.Trim(lpn), Status::kOk);
+          shadow.erase(lpn);
+        } else {
+          read(lpn);
+        }
+      }
+    }
+  }
+  for (uint64_t lpn = 0; lpn < kSmallPages; ++lpn) {
+    read(lpn);
+  }
+  run.ftl = ssd.ftl_stats();
+  run.flash = ssd.flash_stats();
+  run.faults = ssd.device().fault_stats();
+  run.device_mem = ssd.DeviceMemoryUsage();
+  return run;
+}
+
+// The golden counters below were produced by the FTL with its earlier
+// hash-map log page map: a change to the map's representation must not move
+// any merge decision, flash operation or modelled device-RAM byte.
+TEST(SsdFtlTest, MapEquivalenceFaultFree) {
+  const EquivalenceRun run = RunMapEquivalence(FaultPlan{});
+  EXPECT_GT(run.ftl.switch_merges, 0u);
+  EXPECT_GT(run.ftl.full_merges, 0u);
+  EXPECT_EQ(run.failed_writes, 0u);
+  EXPECT_EQ(run.lost_pages, 0u);
+  EXPECT_EQ(run.ftl, (FtlStats{.host_reads = 27168,
+                               .host_writes = 76800,
+                               .host_read_misses = 3398,
+                               .gc_invocations = 1196,
+                               .full_merges = 1078,
+                               .switch_merges = 105}));
+  EXPECT_EQ(run.flash, (FlashStats{.page_reads = 23770,
+                                   .page_writes = 76800,
+                                   .erases = 14597,
+                                   .gc_copies = 747114,
+                                   .busy_us = 143561100}));
+  EXPECT_EQ(run.faults, FaultStats{});
+  EXPECT_EQ(run.device_mem, 9432u);
+}
+
+TEST(SsdFtlTest, MapEquivalenceUnderFaults) {
+  FaultPlan plan;
+  plan.enabled = true;
+  plan.seed = 4;
+  plan.program_fail_prob = 0.00001;
+  plan.read_corrupt_prob = 0.0002;
+  const EquivalenceRun run = RunMapEquivalence(plan);
+  EXPECT_GT(run.ftl.switch_merges, 0u);
+  EXPECT_GT(run.ftl.partial_merges, 0u);
+  EXPECT_GT(run.ftl.full_merges, 0u);
+  EXPECT_EQ(run.failed_writes, 0u);
+  EXPECT_LE(run.lost_pages, run.ftl.dropped_clean_pages);
+  EXPECT_EQ(run.lost_pages, 57u);
+  EXPECT_EQ(run.ftl, (FtlStats{.host_reads = 27168,
+                               .host_writes = 76800,
+                               .host_read_misses = 3467,
+                               .gc_invocations = 1198,
+                               .full_merges = 1146,
+                               .partial_merges = 1,
+                               .switch_merges = 12,
+                               .program_retries = 3,
+                               .dropped_clean_pages = 230}));
+  EXPECT_EQ(run.flash, (FlashStats{.page_reads = 23802,
+                                   .page_writes = 76800,
+                                   .erases = 11715,
+                                   .gc_copies = 579319,
+                                   .busy_us = 113816715}));
+  EXPECT_EQ(run.faults, (FaultStats{.program_failures = 71, .read_corruptions = 105}));
+  EXPECT_EQ(run.device_mem, 13604u);
 }
 
 TEST(SsdFtlTest, TimingChargedToSharedClock) {
