@@ -61,6 +61,8 @@ int Main(int argc, char** argv) {
                                  AdmissionKind::kFrequencySketch,
                                  AdmissionKind::kWriteRateLimiter};
   for (const WorkloadProfile& profile : profiles) {
+    // Generated once, replayed under every policy.
+    VectorTrace trace = MaterializeWorkload(profile);
     for (AdmissionKind kind : kinds) {
       if (only_one && kind != base.kind) {
         continue;
@@ -73,7 +75,7 @@ int Main(int argc, char** argv) {
       config.admission = base;
       config.admission.kind = kind;
       FlashTierSystem system(config);
-      const RunResult r = ReplayWorkload(profile, config, &system, 0.15,
+      const RunResult r = ReplayWorkload(trace, config, &system, 0.15,
                                          args.GetBool("verify", false), parallel.threads,
                                          parallel.depth);
       AppendStatsJson(args.GetString("stats-json", ""), "ablation_admission", profile, config,

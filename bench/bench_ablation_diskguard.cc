@@ -44,6 +44,8 @@ int Main(int argc, char** argv) {
 
   const double rates[] = {0.0, 1e-5, 1e-4, 1e-3, 1e-2};
   for (const WorkloadProfile& profile : profiles) {
+    // Generated once, replayed at every fault rate.
+    VectorTrace trace = MaterializeWorkload(profile);
     for (double rate : rates) {
       SystemConfig config;
       config.type = SystemType::kSscWriteBack;
@@ -54,7 +56,7 @@ int Main(int argc, char** argv) {
       config.disk_faults.latent_prob = rate;
       config.disk_faults.write_fail_prob = write_fail;
       FlashTierSystem system(config);
-      const RunResult r = ReplayWorkload(profile, config, &system, 0.15,
+      const RunResult r = ReplayWorkload(trace, config, &system, 0.15,
                                          args.GetBool("verify", false), parallel.threads,
                                          parallel.depth);
       AppendStatsJson(args.GetString("stats-json", ""), "ablation_diskguard", profile, config,

@@ -26,6 +26,8 @@ int Main(int argc, char** argv) {
                                 SystemType::kSscRWriteThrough};
   std::printf("%-8s %12s %10s %10s %10s\n", "trace", "SSD-IOPS", "SSD", "SSC", "SSC-R");
   for (const WorkloadProfile& profile : BenchProfiles(args)) {
+    // Generated once, replayed against all three systems.
+    VectorTrace trace = MaterializeWorkload(profile);
     double ssd_iops = 0.0;
     std::string row;
     for (SystemType type : systems) {
@@ -34,7 +36,7 @@ int Main(int argc, char** argv) {
       config.cache_pages = CachePagesFor(profile);
       config.consistency = ConsistencyMode::kNone;  // isolate GC effects
       FlashTierSystem system(config);
-      const RunResult r = ReplayWorkload(profile, config, &system, /*warmup_fraction=*/0.15);
+      const RunResult r = ReplayWorkload(trace, config, &system, /*warmup_fraction=*/0.15);
       if (type == SystemType::kNativeWriteThrough) {
         ssd_iops = r.iops;
       }

@@ -10,7 +10,9 @@
 // The table is set-associative (as in FlashCache): a block hashes to a set
 // and may occupy any way of that set; the slot index doubles as the SSD page
 // number, so no flash address needs to be stored. Replacement is LRU within
-// the set; dirty victims are written back to disk first.
+// the set; dirty victims are written back to disk first. Each slot's LBN sits
+// in a parallel array (kInvalidLbn = free), so a lookup scans one set's
+// contiguous LBNs rather than its whole slot records.
 //
 // In write-back mode with metadata persistence enabled (the Fig. 4 "Native-D"
 // configuration), every dirty-block state change is persisted by writing
@@ -86,23 +88,27 @@ class NativeCacheManager final : public CacheManager {
   uint64_t RecoveryEstimateUs() const;
 
  private:
-  enum class SlotState : uint16_t { kFree = 0, kClean = 1, kDirty = 2 };
+  // A free slot is one whose lbns_ entry is kInvalidLbn; its state is kClean.
+  enum class SlotState : uint16_t { kClean = 0, kDirty = 1 };
 
-  // 22 bytes of per-block metadata, as in the paper: disk block number,
-  // checksum, LRU links, state.
+  // 22 bytes of per-block metadata, as in the paper: disk block number (held
+  // apart, in lbns_), checksum, LRU links, state.
   struct Slot {
-    Lbn lbn = kInvalidLbn;
     uint64_t checksum = 0;
     uint16_t lru_prev = kNilWay;
     uint16_t lru_next = kNilWay;
-    SlotState state = SlotState::kFree;
+    SlotState state = SlotState::kClean;
   };
+  static_assert(sizeof(Slot) + sizeof(Lbn) == 24, "host memory is 24 B per slot");
   static constexpr uint16_t kNilWay = 0xffff;
 
   uint32_t SetOf(Lbn lbn) const;
   // Index within the set, or kNilWay.
   uint16_t FindWay(uint32_t set, Lbn lbn) const;
   Slot& SlotAt(uint32_t set, uint16_t way) { return slots_[SsdPageOf(set, way)]; }
+  Lbn& LbnAt(uint32_t set, uint16_t way) { return lbns_[SsdPageOf(set, way)]; }
+  // Returns the slot to the free pool: trims its SSD page and unlinks it.
+  void FreeSlot(uint32_t set, uint16_t way);
   uint64_t SsdPageOf(uint32_t set, uint16_t way) const {
     return static_cast<uint64_t>(set) * options_.associativity + way;
   }
@@ -125,6 +131,7 @@ class NativeCacheManager final : public CacheManager {
   uint64_t cache_pages_;
   uint32_t sets_;
   std::vector<Slot> slots_;
+  std::vector<Lbn> lbns_;              // LBN per slot; kInvalidLbn when free
   std::vector<uint16_t> set_head_;     // MRU way per set
   std::vector<uint16_t> set_tail_;     // LRU way per set
   std::vector<uint16_t> set_dirty_;    // dirty count per set

@@ -87,8 +87,8 @@ Status DiskModel::Read(Lbn lbn, uint64_t* token) {
     }
   }
   if (token != nullptr) {
-    const auto it = contents_.find(lbn);
-    *token = it != contents_.end() ? it->second : OriginalToken(lbn);
+    const uint64_t* written = contents_.Find(lbn);
+    *token = written != nullptr ? *written : OriginalToken(lbn);
   }
   return Status::kOk;
 }
@@ -105,7 +105,7 @@ Status DiskModel::Write(Lbn lbn, uint64_t token) {
     }
   }
   RepairRange(lbn, 1);
-  contents_[lbn] = token;
+  contents_.Insert(lbn, token);
   return Status::kOk;
 }
 
@@ -126,7 +126,7 @@ Status DiskModel::WriteRun(Lbn start, const std::vector<uint64_t>& tokens) {
   }
   RepairRange(start, static_cast<uint32_t>(tokens.size()));
   for (size_t i = 0; i < tokens.size(); ++i) {
-    contents_[start + i] = tokens[i];
+    contents_.Insert(start + i, tokens[i]);
   }
   return Status::kOk;
 }

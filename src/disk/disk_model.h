@@ -12,19 +12,23 @@
 // clock retry loop of retry_policy.h — the entry points the cache managers
 // use, so every disk interaction in the system shares one retry/backoff/
 // deadline discipline and one set of counters.
+//
+// Block contents live in a SparseHashMap (the in-tree flat table the SSC's
+// map uses) holding only blocks ever written; every other block reads as
+// OriginalToken. Nothing iterates it, so its order never reaches output.
 
 #ifndef FLASHTIER_DISK_DISK_MODEL_H_
 #define FLASHTIER_DISK_DISK_MODEL_H_
 
 #include <cstdint>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "src/disk/disk_fault_plan.h"
 #include "src/disk/retry_policy.h"
 #include "src/flash/timing.h"
 #include "src/flash/types.h"
+#include "src/sparsemap/sparse_hash_map.h"
 #include "src/util/rng.h"
 #include "src/util/stat_fields.h"
 #include "src/util/status.h"
@@ -162,7 +166,7 @@ class DiskModel {
   DiskParams params_;
   SimClock* clock_;  // not owned
   Lbn next_sequential_ = kInvalidLbn;
-  std::unordered_map<Lbn, uint64_t> contents_;
+  SparseHashMap<Lbn, uint64_t> contents_;  // written blocks only
   DiskStats stats_;
 
   DiskFaultPlan faults_;

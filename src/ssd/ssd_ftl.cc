@@ -28,6 +28,7 @@ SsdFtl::SsdFtl(uint64_t logical_pages, SimClock* clock, const Options& options)
                                           /*store_data=*/false, options.fault_plan);
   allocator_ = std::make_unique<BlockAllocator>(*device_, /*reserved_blocks=*/0);
   block_map_.Reset(logical_blocks_, kInvalidBlock);
+  log_map_.Reset(logical_pages_, kInvalidPpn);
 }
 
 Status SsdFtl::Read(uint64_t lpn, uint64_t* token) {
@@ -35,9 +36,8 @@ Status SsdFtl::Read(uint64_t lpn, uint64_t* token) {
     return Status::kInvalidArgument;
   }
   ++ftl_stats_.host_reads;
-  const auto log_it = log_map_.find(lpn);
-  if (log_it != log_map_.end()) {
-    return device_->ReadPage(log_it->second, token, nullptr, nullptr);
+  if (const Ppn* logged = log_map_.Find(lpn); logged != nullptr) {
+    return device_->ReadPage(*logged, token, nullptr, nullptr);
   }
   const FlashGeometry& g = device_->geometry();
   const PhysBlock* data = block_map_.Find(lpn / g.pages_per_block);
@@ -82,7 +82,7 @@ Status SsdFtl::Write(uint64_t lpn, uint64_t token) {
     return ps;
   }
   InvalidateOldVersion(lpn);
-  log_map_[lpn] = ppn;
+  log_map_.Insert(lpn, ppn);
   log_contents_[active].push_back(lpn);
   if (wear_level_interval_writes_ > 0 &&
       ++writes_since_wear_level_ >= wear_level_interval_writes_) {
@@ -169,10 +169,9 @@ Status SsdFtl::Trim(uint64_t lpn) {
 }
 
 void SsdFtl::InvalidateOldVersion(uint64_t lpn) {
-  const auto log_it = log_map_.find(lpn);
-  if (log_it != log_map_.end()) {
-    AssertOk(device_->MarkInvalid(log_it->second));
-    log_map_.erase(log_it);
+  if (const Ppn* logged = log_map_.Find(lpn); logged != nullptr) {
+    AssertOk(device_->MarkInvalid(*logged));
+    log_map_.Erase(lpn);
     return;
   }
   const FlashGeometry& g = device_->geometry();
@@ -273,10 +272,10 @@ bool SsdFtl::TrySwitchOrPartialMerge(PhysBlock victim) {
       // The newest version of the remaining offset is usually in the old data
       // block, but may sit in another log block (fully-associative log), so
       // check the log map first.
-      const auto log_it = log_map_.find(logical * g.pages_per_block + off);
-      if (log_it != log_map_.end()) {
-        if (IsOk(device_->CopyPage(log_it->second, victim, nullptr))) {
-          log_map_.erase(log_it);
+      const uint64_t lpn = logical * g.pages_per_block + off;
+      if (const Ppn* logged = log_map_.Find(lpn); logged != nullptr) {
+        if (IsOk(device_->CopyPage(*logged, victim, nullptr))) {
+          log_map_.Erase(lpn);
           copied = true;
         }
       } else if (old != nullptr) {
@@ -302,7 +301,7 @@ bool SsdFtl::TrySwitchOrPartialMerge(PhysBlock victim) {
 
   // Victim becomes the data block.
   for (size_t i = 0; i < lpns.size(); ++i) {
-    log_map_.erase(lpns[i]);
+    log_map_.Erase(lpns[i]);
   }
   log_contents_.erase(victim);
   if (old != nullptr) {
@@ -335,10 +334,10 @@ Status SsdFtl::FullMergeLogicalBlock(LogicalBlock logical) {
   for (uint32_t off = 0; off < g.pages_per_block; ++off) {
     const uint64_t lpn = logical * g.pages_per_block + off;
     Ppn src = kInvalidPpn;
-    const auto log_it = log_map_.find(lpn);
-    const bool from_log = log_it != log_map_.end();
+    const Ppn* logged = log_map_.Find(lpn);
+    const bool from_log = logged != nullptr;
     if (from_log) {
-      src = log_it->second;
+      src = *logged;
     } else if (old_block != kInvalidBlock) {
       const Ppn candidate = g.FirstPpnOf(old_block) + off;
       if (device_->page_state(candidate) == PageState::kValid) {
@@ -366,7 +365,7 @@ Status SsdFtl::FullMergeLogicalBlock(LogicalBlock logical) {
     if (cs == Status::kCorrupt) {
       AssertOk(device_->MarkInvalid(src));
       if (from_log) {
-        log_map_.erase(log_it);
+        log_map_.Erase(lpn);
       }
       ++ftl_stats_.dropped_clean_pages;
       AssertOk(device_->SkipPage(fresh));
@@ -385,7 +384,7 @@ Status SsdFtl::FullMergeLogicalBlock(LogicalBlock logical) {
     }
     any_copied = true;
     if (from_log) {
-      log_map_.erase(log_it);
+      log_map_.Erase(lpn);
     }
   }
 
@@ -458,7 +457,9 @@ Status SsdFtl::MergeOldestLogBlock() {
 
 size_t SsdFtl::DeviceMemoryUsage() const {
   // Dense block-level map + fully-associative log page map (~32 B/entry for a
-  // chained hash node) + per-log-block reverse metadata + free lists.
+  // chained hash node) + per-log-block reverse metadata + free lists. The
+  // log map is charged as the device's hash table, not as the host's dense
+  // array that simulates it.
   size_t bytes = block_map_.MemoryUsage();
   bytes += log_map_.size() * (sizeof(uint64_t) + sizeof(Ppn) + 16);
   for (const auto& [block, lpns] : log_contents_) {

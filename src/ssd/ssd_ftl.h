@@ -23,6 +23,12 @@
 // The device is over-provisioned: physical capacity = logical capacity + log
 // budget + spare blocks, matching the paper's "7% over-provisioning for
 // garbage collection" on the SSD (the SSC has none).
+//
+// Both maps are dense arrays on the host: the log page map is indexed by lpn
+// (one 8-byte slot per logical page, kInvalidPpn when the page has no log
+// copy), so a lookup in a merge is one load. DeviceMemoryUsage() still
+// charges what the modelled device spends on a hash table of live log
+// entries, so the host representation moves no reported number.
 
 #ifndef FLASHTIER_SSD_SSD_FTL_H_
 #define FLASHTIER_SSD_SSD_FTL_H_
@@ -122,8 +128,8 @@ class SsdFtl {
   std::unique_ptr<BlockAllocator> allocator_;
 
   DenseMap<PhysBlock> block_map_;  // logical erase block -> physical block
-  std::unordered_map<uint64_t, Ppn> log_map_;  // lpn -> ppn in a log block
-  std::deque<PhysBlock> log_blocks_;           // FIFO; back() is the active one
+  DenseMap<Ppn> log_map_;          // lpn -> ppn in a log block
+  std::deque<PhysBlock> log_blocks_;  // FIFO; back() is the active one
   // lpn programmed at each page index of each log block (device-RAM copy of
   // the OOB reverse map).
   std::unordered_map<PhysBlock, std::vector<uint64_t>> log_contents_;
