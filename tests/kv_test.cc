@@ -13,6 +13,7 @@
 #include "src/kv/kv_replay.h"
 #include "src/trace/workload.h"
 #include "src/util/rng.h"
+#include "tests/stats_printer.h"
 
 namespace flashtier {
 namespace {
@@ -189,6 +190,147 @@ TEST(KvCompactionTest, DeadSlotsAreCompactedAway) {
   for (uint64_t k = 0; k < 120; k += 4) {
     EXPECT_EQ(MustGet(cache.shard(0), k), k);
   }
+}
+
+TEST(KvCompactionTest, EqualDeadBytesCompactTheOlderSlab) {
+  KvCacheConfig config = SmallConfig();
+  config.compact_min_sealed_slabs = 2;
+  config.compact_dead_ratio = 0.30;
+  KvCache cache(config);
+  KvShard& shard = cache.shard(0);
+  // 1000 B objects take 1024 B slots: four fill a 4 KB slab exactly, so keys
+  // 4k..4k+3 land in slab k and the next Set seals it.
+  for (uint64_t k = 0; k < 8; ++k) {
+    ASSERT_EQ(cache.Set(k, k, 1000, false), Status::kOk);
+  }
+  ASSERT_EQ(cache.Set(8, 8, 1000, false), Status::kOk);  // seals slab 1
+  EXPECT_EQ(cache.AggregateStats().compactions, 0u);
+  // Slabs 0 and 1 each lose two slots: 2048 dead bytes apiece.
+  for (uint64_t k : {0, 1, 4, 5}) {
+    ASSERT_EQ(cache.Delete(k), Status::kOk);
+  }
+  for (uint64_t k = 9; k < 12; ++k) {
+    ASSERT_EQ(cache.Set(k, k, 1000, false), Status::kOk);
+  }
+  // Sealing slab 2 makes dead bytes 4096 of 12288 (> 30%): one compaction,
+  // and of the two equally dead slabs the older one goes.
+  ASSERT_EQ(cache.Set(12, 12, 1000, false), Status::kOk);
+  const KvStats s = cache.AggregateStats();
+  EXPECT_EQ(s.compactions, 1u);
+  EXPECT_EQ(s.slots_moved, 2u);
+  EXPECT_EQ(s.slots_reclaimed, 2u);
+  EXPECT_EQ(shard.slabs().count(0), 0u);
+  EXPECT_EQ(shard.slabs().count(1), 1u);
+  for (uint64_t k : {2, 3, 6, 7, 8, 9, 10, 11, 12}) {
+    EXPECT_EQ(MustGet(shard, k), k);
+  }
+}
+
+struct MixedCompactionRun {
+  KvStats stats;
+  std::vector<uint64_t> slab_seqs;  // final slab directory, ascending
+};
+
+// A seeded mix of clean and dirty Sets, overwrites, Gets and Deletes with
+// eager compaction (a compaction on about half the seals), crashed and
+// recovered once midway.
+MixedCompactionRun RunMixedCompaction(uint32_t slab_pages) {
+  KvCacheConfig config = SmallConfig();
+  config.slab_pages = slab_pages;
+  config.compact_min_sealed_slabs = 2;
+  config.compact_dead_ratio = 0.30;
+  KvCache cache(config);
+  Rng rng(2024);
+  for (uint64_t i = 0; i < 4000; ++i) {
+    if (i == 2000) {
+      cache.SimulateCrash();
+      EXPECT_EQ(cache.Recover(), Status::kOk);
+    }
+    const uint64_t key = rng.Below(1200);
+    const uint64_t pick = rng.Below(10);
+    if (pick < 5) {
+      const auto size = static_cast<uint32_t>(64 + 16 * rng.Below(60));
+      EXPECT_EQ(cache.Set(key, i, size, rng.Chance(0.3)), Status::kOk) << "op " << i;
+    } else if (pick < 8) {
+      uint64_t token = 0;
+      const Status st = cache.Get(key, &token);
+      EXPECT_TRUE(st == Status::kOk || st == Status::kNotPresent) << "op " << i;
+    } else {
+      const Status st = cache.Delete(key);
+      EXPECT_TRUE(st == Status::kOk || st == Status::kNotPresent) << "op " << i;
+    }
+  }
+  const CheckReport audit = InvariantChecker::CheckKv(cache);
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+  MixedCompactionRun run;
+  run.stats = cache.AggregateStats();
+  for (const auto& entry : cache.shard(0).slabs()) {
+    run.slab_seqs.push_back(entry.first);
+  }
+  return run;
+}
+
+TEST(KvCompactionTest, MixedRunWithCrashPinnedOneSlabPage) {
+  const MixedCompactionRun run = RunMixedCompaction(1);
+  EXPECT_EQ(run.stats, (KvStats{.gets = 1207,
+                                .hits = 511,
+                                .open_slab_hits = 5,
+                                .misses = 696,
+                                .sets = 1972,
+                                .set_bytes = 1042288,
+                                .overwrites = 850,
+                                .deletes = 821,
+                                .delete_misses = 460,
+                                .slab_fills = 349,
+                                .slab_page_writes = 349,
+                                .compactions = 182,
+                                .slots_moved = 459,
+                                .slots_reclaimed = 809,
+                                .dead_slab_reclaims = 5,
+                                .slab_cleans = 95,
+                                .recoveries = 1,
+                                .recovered_slots = 584,
+                                .restaged_dirty_slots = 1,
+                                .dropped_clean_slots = 4}));
+  const std::vector<uint64_t> seqs = {
+      5,   49,  52,  53,  63,  64,  66,  67,  74,  80,  95,  97,  99,  101, 109, 116, 120,
+      124, 128, 130, 136, 137, 138, 140, 146, 160, 161, 164, 166, 168, 172, 177, 183, 187,
+      188, 189, 195, 201, 202, 204, 205, 206, 210, 212, 213, 217, 218, 220, 221, 222, 224,
+      226, 228, 230, 232, 233, 236, 237, 238, 240, 241, 242, 244, 245, 246, 247, 248, 249,
+      250, 252, 253, 255, 256, 257, 258, 259, 260, 261, 262, 263, 264, 265, 267, 268, 269,
+      270, 271, 272, 273, 274, 275, 276, 277, 278, 279, 280, 282, 283, 285, 287, 288, 289,
+      290, 291, 292, 293, 294, 295, 296, 297, 298, 299, 300, 301, 302, 303, 304, 305, 306,
+      307, 308, 309, 310, 311, 312, 313, 314, 315, 316, 317, 318, 319, 320, 321, 322, 323,
+      324, 325, 326, 327, 328, 329, 330, 331, 332, 333, 334, 335, 336, 337, 338, 339, 340,
+      341, 342, 343, 344, 345, 346, 347, 348, 349, 350};
+  EXPECT_EQ(run.slab_seqs, seqs);
+}
+
+TEST(KvCompactionTest, MixedRunWithCrashPinnedFourSlabPages) {
+  const MixedCompactionRun run = RunMixedCompaction(4);
+  EXPECT_EQ(run.stats, (KvStats{.gets = 1207,
+                                .hits = 505,
+                                .open_slab_hits = 14,
+                                .misses = 702,
+                                .sets = 1972,
+                                .set_bytes = 1042288,
+                                .overwrites = 845,
+                                .deletes = 821,
+                                .delete_misses = 466,
+                                .slab_fills = 89,
+                                .slab_page_writes = 356,
+                                .compactions = 53,
+                                .slots_moved = 657,
+                                .slots_reclaimed = 883,
+                                .slab_cleans = 4,
+                                .recoveries = 1,
+                                .recovered_slots = 561,
+                                .restaged_dirty_slots = 8,
+                                .dropped_clean_slots = 20}));
+  const std::vector<uint64_t> seqs = {33, 41, 51, 52, 54, 56, 58, 60, 62, 63, 64, 65, 66,
+                                      67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79,
+                                      80, 81, 82, 83, 84, 85, 86, 87, 88, 89, 90};
+  EXPECT_EQ(run.slab_seqs, seqs);
 }
 
 // ---- Capacity eviction and lazy drops ----
