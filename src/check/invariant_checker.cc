@@ -750,6 +750,48 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
     }
   }
 
+  // Compaction accounting: the running sealed-slab totals and the victim
+  // index must agree with the directory, and the index's front must be the
+  // slab a full scan picks (most dead bytes, ties to the oldest seq).
+  uint64_t sealed_count = 0;
+  uint64_t sealed_used = 0;
+  uint64_t sealed_dead = 0;
+  uint64_t deadest = KvShard::kNoSlab;
+  uint32_t deadest_bytes = 0;
+  for (const auto& [seq, slab] : slabs) {
+    if (!slab.sealed) {
+      continue;
+    }
+    const uint32_t dead = slab.used_bytes - slab.live_bytes;
+    ++sealed_count;
+    sealed_used += slab.used_bytes;
+    sealed_dead += dead;
+    if (deadest == KvShard::kNoSlab || dead > deadest_bytes) {
+      deadest = seq;
+      deadest_bytes = dead;
+    }
+    ++report.checks_run;
+    if (shard.victim_index().count({dead, seq}) == 0) {
+      report.Add("kv.compaction-accounting",
+                 StrFormat("sealed slab %llu (%u dead bytes) missing from the victim index",
+                           (unsigned long long)seq, dead));
+    }
+  }
+  const KvShard::VictimIndex& index = shard.victim_index();
+  const uint64_t front = index.empty() ? KvShard::kNoSlab : index.begin()->second;
+  ++report.checks_run;
+  if (shard.sealed_slab_count() != sealed_count || shard.sealed_used_bytes() != sealed_used ||
+      shard.sealed_dead_bytes() != sealed_dead || front != deadest) {
+    report.Add("kv.compaction-accounting",
+               StrFormat("sealed count=%llu/%llu used=%llu/%llu dead=%llu/%llu victim=%lld/%lld",
+                         (unsigned long long)shard.sealed_slab_count(),
+                         (unsigned long long)sealed_count,
+                         (unsigned long long)shard.sealed_used_bytes(),
+                         (unsigned long long)sealed_used,
+                         (unsigned long long)shard.sealed_dead_bytes(),
+                         (unsigned long long)sealed_dead, (long long)front, (long long)deadest));
+  }
+
   // Key-map agreement, map side: every mapping points at a live slot that
   // carries the same key, and the map holds exactly the live slots.
   shard.key_map().ForEach([&](uint64_t key, uint64_t loc) {

@@ -137,6 +137,7 @@ Status KvShard::SealOpenSlab() {
   slab.sealed = true;
   slab.dirty_written = dirty_any;
   slab.pages_spanned = pages;
+  IndexSealedSlab(seq, slab);
   ++stats_.slab_fills;
   stats_.slab_page_writes += pages;
   open_seq_ = kNoSlab;
@@ -190,7 +191,11 @@ void KvShard::DropSlab(uint64_t seq, bool policy_evict, uint64_t* slot_counter) 
       ++*slot_counter;
     }
   }
-  const uint32_t pages = slab.sealed ? slab.pages_spanned : 0;
+  uint32_t pages = 0;
+  if (slab.sealed) {
+    pages = slab.pages_spanned;
+    UnindexSealedSlab(seq, slab);
+  }
   slabs_.erase(seq);
   if (open_seq_ == seq) {
     open_seq_ = kNoSlab;
@@ -223,7 +228,7 @@ uint64_t KvShard::InvalidateKey(uint64_t key, bool sync) {
   rec.ppn = seq;
   rec.present_bits = PackSlotMeta(slot_idx, slot.size, slot.offset, slot.dirty);
   slot.live = false;
-  slab.live_bytes -= KvSlotBytes(slot.size);
+  KillSlotBytes(seq, slab, KvSlotBytes(slot.size));
   --slab.live_count;
   if (slot.dirty) {
     --slab.dirty_live;
@@ -241,6 +246,7 @@ void KvShard::HandleSlabQuiescence(uint64_t seq) {
   KvSlab& slab = it->second;
   if (slab.live_count == 0) {
     const uint32_t pages = slab.pages_spanned;
+    UnindexSealedSlab(seq, slab);
     slabs_.erase(it);
     EvictSlabPages(seq, pages);
     ++stats_.dead_slab_reclaims;
@@ -259,6 +265,33 @@ void KvShard::HandleSlabQuiescence(uint64_t seq) {
     slab.dirty_written = false;
     ++stats_.slab_cleans;
   }
+}
+
+void KvShard::IndexSealedSlab(uint64_t seq, const KvSlab& slab) {
+  const uint32_t dead = slab.used_bytes - slab.live_bytes;
+  victims_.emplace(dead, seq);
+  sealed_used_bytes_ += slab.used_bytes;
+  sealed_dead_bytes_ += dead;
+}
+
+void KvShard::UnindexSealedSlab(uint64_t seq, const KvSlab& slab) {
+  const uint32_t dead = slab.used_bytes - slab.live_bytes;
+  victims_.erase({dead, seq});
+  sealed_used_bytes_ -= slab.used_bytes;
+  sealed_dead_bytes_ -= dead;
+}
+
+void KvShard::KillSlotBytes(uint64_t seq, KvSlab& slab, uint32_t bytes) {
+  if (slab.sealed) {
+    // Re-rank in place: reusing the node keeps the overwrite path free of
+    // allocations.
+    auto node = victims_.extract({slab.used_bytes - slab.live_bytes, seq});
+    assert(!node.empty());
+    node.value().first += bytes;
+    victims_.insert(std::move(node));
+    sealed_dead_bytes_ += bytes;
+  }
+  slab.live_bytes -= bytes;
 }
 
 Status KvShard::Set(uint64_t key, uint64_t token, uint32_t size, bool dirty) {
@@ -437,38 +470,16 @@ void KvShard::MaybeCompact() {
   if (in_compaction_ || !config_.packing) {
     return;
   }
-  uint32_t sealed_count = 0;
-  uint64_t total_used = 0;
-  uint64_t total_dead = 0;
-  for (const auto& [seq, slab] : slabs_) {
-    if (!slab.sealed) {
-      continue;
-    }
-    ++sealed_count;
-    total_used += slab.used_bytes;
-    total_dead += slab.used_bytes - slab.live_bytes;
-  }
-  if (sealed_count < config_.compact_min_sealed_slabs || total_used == 0) {
+  if (victims_.size() < config_.compact_min_sealed_slabs || sealed_used_bytes_ == 0) {
     return;
   }
-  if (static_cast<double>(total_dead) <
-      config_.compact_dead_ratio * static_cast<double>(total_used)) {
+  if (static_cast<double>(sealed_dead_bytes_) <
+      config_.compact_dead_ratio * static_cast<double>(sealed_used_bytes_)) {
     return;
   }
   // Victim: the sealed slab wasting the most bytes (ties to the oldest).
-  uint64_t victim = kNoSlab;
-  uint32_t victim_dead = 0;
-  for (const auto& [seq, slab] : slabs_) {
-    if (!slab.sealed) {
-      continue;
-    }
-    const uint32_t dead = slab.used_bytes - slab.live_bytes;
-    if (victim == kNoSlab || dead > victim_dead) {
-      victim = seq;
-      victim_dead = dead;
-    }
-  }
-  if (victim == kNoSlab || victim_dead == 0) {
+  const auto [victim_dead, victim] = *victims_.begin();
+  if (victim_dead == 0) {
     return;
   }
   in_compaction_ = true;
@@ -515,7 +526,7 @@ Status KvShard::CompactSlab(uint64_t victim_seq) {
       del.present_bits = PackSlotMeta(i, moved.size, moved.offset, moved.dirty);
       ssc_->persist()->Append(del, /*sync=*/false);
       victim.slots[i].live = false;
-      victim.live_bytes -= charge;
+      KillSlotBytes(victim_seq, victim, charge);
       --victim.live_count;
       if (moved.dirty) {
         --victim.dirty_live;
@@ -538,6 +549,7 @@ Status KvShard::CompactSlab(uint64_t victim_seq) {
   // then is dropping its pages safe under any crash.
   ssc_->persist()->Flush();
   const uint32_t pages = victim.pages_spanned;
+  UnindexSealedSlab(victim_seq, victim);
   slabs_.erase(victim_seq);
   EvictSlabPages(victim_seq, pages);
   ++stats_.compactions;
@@ -573,8 +585,15 @@ std::vector<CheckpointEntry> KvShard::SnapshotSlots() const {
 void KvShard::SimulateCrash() {
   ssc_->SimulateCrash();
   // The slot directory and open slab live in device RAM; they are gone.
+  ClearSlabs();
+}
+
+void KvShard::ClearSlabs() {
   slabs_.clear();
   key_map_.Clear();
+  victims_.clear();
+  sealed_used_bytes_ = 0;
+  sealed_dead_bytes_ = 0;
   open_seq_ = kNoSlab;
 }
 
@@ -614,9 +633,7 @@ Status KvShard::Recover() {
     return device;
   }
   SscDevice::RecoveredKv rkv = ssc_->TakeRecoveredKv();
-  slabs_.clear();
-  key_map_.Clear();
-  open_seq_ = kNoSlab;
+  ClearSlabs();
   next_slab_seq_ = 0;
   for (const CheckpointEntry& e : rkv.checkpoint) {
     ApplyRecoveredInsert(e.key, e.ppn, e.present_bits, e.dirty_bits);
@@ -704,12 +721,15 @@ Status KvShard::Recover() {
         ++stats_.slab_cleans;
       }
     }
+    IndexSealedSlab(seq, slab);
     if (slab.live_count == 0) {
       dead_slabs.push_back(seq);
     }
   }
   for (const uint64_t seq : dead_slabs) {
-    const uint32_t pages = slabs_.at(seq).pages_spanned;
+    const KvSlab& slab = slabs_.at(seq);
+    const uint32_t pages = slab.pages_spanned;
+    UnindexSealedSlab(seq, slab);
     slabs_.erase(seq);
     // Pages may still be cached (live slots all deleted in the log tail);
     // evict them so no orphan flash pages outlive their directory entry.

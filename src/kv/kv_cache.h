@@ -14,12 +14,14 @@
 //
 // The object directory is a single-level hash map: key -> (slab seq, slot).
 // Per-slab metadata tracks each slot's offset, size, dirtiness and liveness.
-// Deletes and overwrites mark slots dead; when a sealed slab's dead-byte
-// fraction crosses the compaction threshold, its live slots are moved to the
-// open slab (each move an atomic delete-old + insert-new record pair) and the
-// slab's pages are evicted — the reclaimed space feeds the SSC's normal
-// allocator. Clean sealed slabs are also silently evictable by the SSC's
-// SE-GC; the KV layer discovers that lazily when a Get's page read returns
+// Deletes and overwrites mark slots dead; when the sealed slabs' dead-byte
+// fraction crosses the compaction threshold, the deadest sealed slab's live
+// slots are moved to the open slab (each move an atomic delete-old +
+// insert-new record pair) and the slab's pages are evicted — the reclaimed
+// space feeds the SSC's normal allocator. Running sealed-slab totals and an
+// ordered victim index make that decision O(1) per seal, not a directory
+// scan. Clean sealed slabs are also silently evictable by the SSC's SE-GC;
+// the KV layer discovers that lazily when a Get's page read returns
 // not-present and retires the whole slab (a legal G2 miss).
 //
 // Durability rides the shard's existing persistence log: every slot insert or
@@ -43,6 +45,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/kv/kv_stats.h"
@@ -153,6 +157,20 @@ class KvShard {
   const AdmissionPolicy& policy() const { return *policy_; }
 
   const std::map<uint64_t, KvSlab>& slabs() const { return slabs_; }
+  // Compaction candidates, one (dead bytes, seq) entry per sealed slab: most
+  // dead bytes first, ties to the oldest (lowest) seq.
+  struct DeadestFirst {
+    bool operator()(const std::pair<uint32_t, uint64_t>& a,
+                    const std::pair<uint32_t, uint64_t>& b) const {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    }
+  };
+  using VictimIndex = std::set<std::pair<uint32_t, uint64_t>, DeadestFirst>;
+  const VictimIndex& victim_index() const { return victims_; }
+  // Running totals over sealed slabs (the compaction threshold's inputs).
+  uint64_t sealed_slab_count() const { return victims_.size(); }
+  uint64_t sealed_used_bytes() const { return sealed_used_bytes_; }
+  uint64_t sealed_dead_bytes() const { return sealed_dead_bytes_; }
   const SparseHashMap<uint64_t, uint64_t>& key_map() const { return key_map_; }
   bool has_open_slab() const { return open_seq_ != kNoSlab; }
   uint64_t open_slab_seq() const { return open_seq_; }
@@ -216,6 +234,14 @@ class KvShard {
   // A sealed slab just lost live or dirty slots: reclaim it when fully dead,
   // or hand it to silent eviction when its last dirty object went away.
   void HandleSlabQuiescence(uint64_t seq);
+  // Sealed-slab accounting: a slab enters the totals and the victim index
+  // when sealed and leaves them before it is erased; KillSlotBytes moves
+  // `bytes` of slab `seq` from live to dead (re-ranking it if sealed).
+  void IndexSealedSlab(uint64_t seq, const KvSlab& slab);
+  void UnindexSealedSlab(uint64_t seq, const KvSlab& slab);
+  void KillSlotBytes(uint64_t seq, KvSlab& slab, uint32_t bytes);
+  // Forgets the whole slab directory (crash, start of recovery).
+  void ClearSlabs();
   void MaybeCompact();
   Status CompactSlab(uint64_t victim_seq);
 
@@ -236,6 +262,9 @@ class KvShard {
   // snapshots, eviction scans and recovery reconciliation.
   std::map<uint64_t, KvSlab> slabs_;
   SparseHashMap<uint64_t, uint64_t> key_map_;  // key -> PackLoc(seq, slot)
+  VictimIndex victims_;
+  uint64_t sealed_used_bytes_ = 0;
+  uint64_t sealed_dead_bytes_ = 0;
 
   uint64_t next_slab_seq_ = 0;
   uint64_t open_seq_ = kNoSlab;

@@ -364,6 +364,8 @@ TEST(KvEvictionTest, CleanSlabsEvictUnderPressureAndGetsMiss) {
   const KvStats s = cache.AggregateStats();
   EXPECT_GT(s.slab_evictions + s.lazy_slab_drops, 0u);
   EXPECT_GT(s.misses, 0u);
+  const CheckReport audit = InvariantChecker::CheckKv(cache);
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
 TEST(KvEvictionTest, AllDirtyCacheRefusesSetsHonestly) {
