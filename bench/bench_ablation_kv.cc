@@ -1,11 +1,11 @@
 // Ablation — slab packing and the tiny-object flash-write economy
 // (DESIGN.md §5k).
 //
-// Replays the kv-zipf object workload against the KvCache once per
-// (placement, admission policy) pair. The placement axis is the tentpole
-// claim: the naive one-object-per-slab baseline pays a full flash page
-// program per admitted Set, while slab packing amortises one page program
-// over every object that fits in the slab. The headline column is
+// Replays the kv-zipf object workload (generated once) against the KvCache
+// once per (placement, admission policy) pair. The placement axis is the
+// main claim: the naive one-object-per-slab baseline pays a full flash
+// page program per admitted Set, while slab packing amortises one page
+// program over every object that fits in the slab. The headline column is
 // fwrite/set — medium data-page programs (seals plus GC copies) per admitted
 // object — and the vs-naive column is the reduction factor against the naive
 // row with the same admission policy (≥ 3× is the acceptance bar).
@@ -116,6 +116,8 @@ int Main(int argc, char** argv) {
 
   const AdmissionKind kinds[] = {AdmissionKind::kAdmitAll, AdmissionKind::kGhostLru,
                                  AdmissionKind::kFrequencySketch};
+  // Every (placement, policy) run replays the same trace; generate it once.
+  KvVectorTrace trace = MaterializeKvWorkload(profile);
   for (AdmissionKind kind : kinds) {
     if (only_one_policy && kind != base.kind) {
       continue;
@@ -134,13 +136,12 @@ int Main(int argc, char** argv) {
       config.ssc.capacity_pages = capacity_pages;
       KvCache cache(config);
 
-      KvZipfWorkload workload(profile);
       KvReplayEngine::Options opts;
       opts.threads = parallel.threads;
       opts.queue_depth = parallel.depth;
       opts.dirty_sets = dirty_sets;
       KvReplayEngine engine(&cache, opts);
-      const KvReplayMetrics m = engine.Run(workload);
+      const KvReplayMetrics m = engine.Run(trace);
       AppendKvStatsJson(args.GetString("stats-json", ""), profile, placement.name,
                         AdmissionKindName(kind), m);
 
