@@ -750,9 +750,28 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
     }
   }
 
-  // Compaction accounting: the running sealed-slab totals and the victim
-  // index must agree with the directory, and the index's front must be the
-  // slab a full scan picks (most dead bytes, ties to the oldest seq).
+  // Compaction accounting: the running sealed-slab totals must agree with
+  // the directory, and the victim heap must be a heap holding exactly one
+  // current entry per sealed slab, so that the slab MaybeCompact picks is the
+  // one a full scan picks (most dead bytes, ties to the oldest seq).
+  const std::vector<KvShard::VictimEntry>& heap = shard.victim_heap();
+  ++report.checks_run;
+  if (!std::is_heap(heap.begin(), heap.end(), KvShard::VictimRanksBelow{})) {
+    report.Add("kv.compaction-accounting", "victim heap order is broken");
+  }
+  std::unordered_map<uint64_t, uint32_t> current_entries;  // seq -> count
+  uint64_t picked = KvShard::kNoSlab;
+  KvShard::VictimEntry top{};
+  for (const KvShard::VictimEntry& entry : heap) {
+    if (!shard.IsCurrentVictim(entry)) {
+      continue;
+    }
+    ++current_entries[entry.second];
+    if (picked == KvShard::kNoSlab || KvShard::VictimRanksBelow{}(top, entry)) {
+      picked = entry.second;
+      top = entry;
+    }
+  }
   uint64_t sealed_count = 0;
   uint64_t sealed_used = 0;
   uint64_t sealed_dead = 0;
@@ -771,17 +790,17 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
       deadest_bytes = dead;
     }
     ++report.checks_run;
-    if (shard.victim_index().count({dead, seq}) == 0) {
+    const auto it = current_entries.find(seq);
+    const uint32_t entries = it == current_entries.end() ? 0 : it->second;
+    if (entries != 1) {
       report.Add("kv.compaction-accounting",
-                 StrFormat("sealed slab %llu (%u dead bytes) missing from the victim index",
-                           (unsigned long long)seq, dead));
+                 StrFormat("sealed slab %llu (%u dead bytes) has %u current victim entries",
+                           (unsigned long long)seq, dead, entries));
     }
   }
-  const KvShard::VictimIndex& index = shard.victim_index();
-  const uint64_t front = index.empty() ? KvShard::kNoSlab : index.begin()->second;
   ++report.checks_run;
   if (shard.sealed_slab_count() != sealed_count || shard.sealed_used_bytes() != sealed_used ||
-      shard.sealed_dead_bytes() != sealed_dead || front != deadest) {
+      shard.sealed_dead_bytes() != sealed_dead || picked != deadest) {
     report.Add("kv.compaction-accounting",
                StrFormat("sealed count=%llu/%llu used=%llu/%llu dead=%llu/%llu victim=%lld/%lld",
                          (unsigned long long)shard.sealed_slab_count(),
@@ -789,7 +808,7 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
                          (unsigned long long)shard.sealed_used_bytes(),
                          (unsigned long long)sealed_used,
                          (unsigned long long)shard.sealed_dead_bytes(),
-                         (unsigned long long)sealed_dead, (long long)front, (long long)deadest));
+                         (unsigned long long)sealed_dead, (long long)picked, (long long)deadest));
   }
 
   // Key-map agreement, map side: every mapping points at a live slot that

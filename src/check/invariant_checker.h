@@ -96,13 +96,13 @@ class InvariantChecker {
   // Audits one KV shard (DESIGN.md §5k): key-map <-> live-slot bijection,
   // per-slab occupancy counters and slot geometry recomputed from the slots,
   // at most one open (unsealed) slab, the running sealed-slab totals and
-  // compaction victim index recomputed from the directory (one index entry
-  // per sealed slab, front = deadest then oldest), sealed-dirty slabs' pages
-  // present and dirty on the medium (clean slabs are exempt — SE-GC may
-  // silently drop them; `faults_possible` additionally excuses pages an
-  // injected medium fault destroyed), the shard's admission-policy bounds and
-  // rejected-key absence, and the underlying SscDevice's own structural
-  // invariants.
+  // compaction victim heap checked against the directory (heap order, one
+  // current entry per sealed slab, pick = deadest then oldest), sealed-dirty
+  // slabs' pages present and dirty on the medium (clean slabs are exempt —
+  // SE-GC may silently drop them; `faults_possible` additionally excuses
+  // pages an injected medium fault destroyed), the shard's admission-policy
+  // bounds and rejected-key absence, and the underlying SscDevice's own
+  // structural invariants.
   static CheckReport CheckKv(const KvShard& shard, bool faults_possible = false);
 
   // Audits every shard of a KvCache plus the cross-shard partition

@@ -194,7 +194,7 @@ void KvShard::DropSlab(uint64_t seq, bool policy_evict, uint64_t* slot_counter) 
   uint32_t pages = 0;
   if (slab.sealed) {
     pages = slab.pages_spanned;
-    UnindexSealedSlab(seq, slab);
+    UnindexSealedSlab(slab);
   }
   slabs_.erase(seq);
   if (open_seq_ == seq) {
@@ -246,7 +246,7 @@ void KvShard::HandleSlabQuiescence(uint64_t seq) {
   KvSlab& slab = it->second;
   if (slab.live_count == 0) {
     const uint32_t pages = slab.pages_spanned;
-    UnindexSealedSlab(seq, slab);
+    UnindexSealedSlab(slab);
     slabs_.erase(it);
     EvictSlabPages(seq, pages);
     ++stats_.dead_slab_reclaims;
@@ -269,29 +269,48 @@ void KvShard::HandleSlabQuiescence(uint64_t seq) {
 
 void KvShard::IndexSealedSlab(uint64_t seq, const KvSlab& slab) {
   const uint32_t dead = slab.used_bytes - slab.live_bytes;
-  victims_.emplace(dead, seq);
+  ++sealed_count_;
   sealed_used_bytes_ += slab.used_bytes;
   sealed_dead_bytes_ += dead;
+  PushVictim(seq, slab);
 }
 
-void KvShard::UnindexSealedSlab(uint64_t seq, const KvSlab& slab) {
-  const uint32_t dead = slab.used_bytes - slab.live_bytes;
-  victims_.erase({dead, seq});
+void KvShard::UnindexSealedSlab(const KvSlab& slab) {
+  --sealed_count_;
   sealed_used_bytes_ -= slab.used_bytes;
-  sealed_dead_bytes_ -= dead;
+  sealed_dead_bytes_ -= slab.used_bytes - slab.live_bytes;
 }
 
 void KvShard::KillSlotBytes(uint64_t seq, KvSlab& slab, uint32_t bytes) {
-  if (slab.sealed) {
-    // Re-rank in place: reusing the node keeps the overwrite path free of
-    // allocations.
-    auto node = victims_.extract({slab.used_bytes - slab.live_bytes, seq});
-    assert(!node.empty());
-    node.value().first += bytes;
-    victims_.insert(std::move(node));
-    sealed_dead_bytes_ += bytes;
-  }
   slab.live_bytes -= bytes;
+  if (slab.sealed) {
+    sealed_dead_bytes_ += bytes;
+    PushVictim(seq, slab);
+  }
+}
+
+void KvShard::PushVictim(uint64_t seq, const KvSlab& slab) {
+  if (victims_.size() <= 2 * sealed_count_ + 64) {
+    victims_.emplace_back(slab.used_bytes - slab.live_bytes, seq);
+    std::push_heap(victims_.begin(), victims_.end(), VictimRanksBelow{});
+    return;
+  }
+  // Mostly stale: rebuild from the directory (which already holds `slab`'s
+  // change), one current entry per sealed slab. At least sealed_count_ + 64
+  // pushes separate two rebuilds, so the scan is O(1) per push amortised.
+  victims_.clear();
+  for (const auto& [other_seq, other] : slabs_) {
+    if (other.sealed) {
+      victims_.emplace_back(other.used_bytes - other.live_bytes, other_seq);
+    }
+  }
+  std::make_heap(victims_.begin(), victims_.end(), VictimRanksBelow{});
+}
+
+bool KvShard::IsCurrentVictim(const VictimEntry& entry) const {
+  const auto it = slabs_.find(entry.second);
+  return it != slabs_.end() && it->second.sealed &&
+         it->second.used_bytes - it->second.live_bytes == entry.first;
 }
 
 Status KvShard::Set(uint64_t key, uint64_t token, uint32_t size, bool dirty) {
@@ -470,7 +489,7 @@ void KvShard::MaybeCompact() {
   if (in_compaction_ || !config_.packing) {
     return;
   }
-  if (victims_.size() < config_.compact_min_sealed_slabs || sealed_used_bytes_ == 0) {
+  if (sealed_count_ < config_.compact_min_sealed_slabs || sealed_used_bytes_ == 0) {
     return;
   }
   if (static_cast<double>(sealed_dead_bytes_) <
@@ -478,7 +497,13 @@ void KvShard::MaybeCompact() {
     return;
   }
   // Victim: the sealed slab wasting the most bytes (ties to the oldest).
-  const auto [victim_dead, victim] = *victims_.begin();
+  // Some sealed slab holds a current entry, so this stops before the heap
+  // runs dry.
+  while (!IsCurrentVictim(victims_.front())) {
+    std::pop_heap(victims_.begin(), victims_.end(), VictimRanksBelow{});
+    victims_.pop_back();
+  }
+  const auto [victim_dead, victim] = victims_.front();
   if (victim_dead == 0) {
     return;
   }
@@ -549,7 +574,7 @@ Status KvShard::CompactSlab(uint64_t victim_seq) {
   // then is dropping its pages safe under any crash.
   ssc_->persist()->Flush();
   const uint32_t pages = victim.pages_spanned;
-  UnindexSealedSlab(victim_seq, victim);
+  UnindexSealedSlab(victim);
   slabs_.erase(victim_seq);
   EvictSlabPages(victim_seq, pages);
   ++stats_.compactions;
@@ -592,6 +617,7 @@ void KvShard::ClearSlabs() {
   slabs_.clear();
   key_map_.Clear();
   victims_.clear();
+  sealed_count_ = 0;
   sealed_used_bytes_ = 0;
   sealed_dead_bytes_ = 0;
   open_seq_ = kNoSlab;
@@ -729,7 +755,7 @@ Status KvShard::Recover() {
   for (const uint64_t seq : dead_slabs) {
     const KvSlab& slab = slabs_.at(seq);
     const uint32_t pages = slab.pages_spanned;
-    UnindexSealedSlab(seq, slab);
+    UnindexSealedSlab(slab);
     slabs_.erase(seq);
     // Pages may still be cached (live slots all deleted in the log tail);
     // evict them so no orphan flash pages outlive their directory entry.

@@ -18,9 +18,8 @@
 // fraction crosses the compaction threshold, the deadest sealed slab's live
 // slots are moved to the open slab (each move an atomic delete-old +
 // insert-new record pair) and the slab's pages are evicted — the reclaimed
-// space feeds the SSC's normal allocator. Running sealed-slab totals and an
-// ordered victim index make that decision O(1) per seal, not a directory
-// scan. Clean sealed slabs are also silently evictable by the SSC's SE-GC;
+// space feeds the SSC's normal allocator. Running sealed-slab totals and a
+// victim heap make that decision O(1) per seal, not a directory scan. Clean sealed slabs are also silently evictable by the SSC's SE-GC;
 // the KV layer discovers that lazily when a Get's page read returns
 // not-present and retires the whole slab (a legal G2 miss).
 //
@@ -45,7 +44,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -157,20 +155,30 @@ class KvShard {
   const AdmissionPolicy& policy() const { return *policy_; }
 
   const std::map<uint64_t, KvSlab>& slabs() const { return slabs_; }
-  // Compaction candidates, one (dead bytes, seq) entry per sealed slab: most
-  // dead bytes first, ties to the oldest (lowest) seq.
-  struct DeadestFirst {
-    bool operator()(const std::pair<uint32_t, uint64_t>& a,
-                    const std::pair<uint32_t, uint64_t>& b) const {
-      return a.first != b.first ? a.first > b.first : a.second < b.second;
-    }
-  };
-  using VictimIndex = std::set<std::pair<uint32_t, uint64_t>, DeadestFirst>;
-  const VictimIndex& victim_index() const { return victims_; }
-  // Running totals over sealed slabs (the compaction threshold's inputs).
-  uint64_t sealed_slab_count() const { return victims_.size(); }
+
+  // ---- Compaction accounting (audited by InvariantChecker::CheckKv) ----
+
+  // Running totals over sealed slabs: the compaction threshold's inputs.
+  uint64_t sealed_slab_count() const { return sealed_count_; }
   uint64_t sealed_used_bytes() const { return sealed_used_bytes_; }
   uint64_t sealed_dead_bytes() const { return sealed_dead_bytes_; }
+
+  // Compaction candidates: a binary max-heap of (dead bytes, seq) entries,
+  // most dead bytes on top, ties to the oldest (lowest) seq. A slab's entry
+  // is pushed when it is sealed and again each time its dead bytes grow, and
+  // nothing is removed in place: an entry is current only while its slab is
+  // sealed with exactly that many dead bytes (they only grow while sealed),
+  // so stale entries are skipped when they surface and dropped wholesale
+  // when they outnumber the sealed slabs. Every sealed slab has exactly one
+  // current entry.
+  using VictimEntry = std::pair<uint32_t, uint64_t>;
+  struct VictimRanksBelow {  // the heap's "less than"
+    bool operator()(const VictimEntry& a, const VictimEntry& b) const {
+      return a.first != b.first ? a.first < b.first : a.second > b.second;
+    }
+  };
+  const std::vector<VictimEntry>& victim_heap() const { return victims_; }
+  bool IsCurrentVictim(const VictimEntry& entry) const;
   const SparseHashMap<uint64_t, uint64_t>& key_map() const { return key_map_; }
   bool has_open_slab() const { return open_seq_ != kNoSlab; }
   uint64_t open_slab_seq() const { return open_seq_; }
@@ -234,12 +242,15 @@ class KvShard {
   // A sealed slab just lost live or dirty slots: reclaim it when fully dead,
   // or hand it to silent eviction when its last dirty object went away.
   void HandleSlabQuiescence(uint64_t seq);
-  // Sealed-slab accounting: a slab enters the totals and the victim index
-  // when sealed and leaves them before it is erased; KillSlotBytes moves
-  // `bytes` of slab `seq` from live to dead (re-ranking it if sealed).
+  // Sealed-slab accounting: a slab enters the totals and the victim heap
+  // when sealed and leaves the totals before it is erased (its heap entries
+  // go stale); KillSlotBytes moves `bytes` of slab `seq` from live to dead
+  // (re-ranking it if sealed).
   void IndexSealedSlab(uint64_t seq, const KvSlab& slab);
-  void UnindexSealedSlab(uint64_t seq, const KvSlab& slab);
+  void UnindexSealedSlab(const KvSlab& slab);
   void KillSlotBytes(uint64_t seq, KvSlab& slab, uint32_t bytes);
+  // Pushes `slab`'s current entry (after the change that re-ranks it).
+  void PushVictim(uint64_t seq, const KvSlab& slab);
   // Forgets the whole slab directory (crash, start of recovery).
   void ClearSlabs();
   void MaybeCompact();
@@ -262,7 +273,8 @@ class KvShard {
   // snapshots, eviction scans and recovery reconciliation.
   std::map<uint64_t, KvSlab> slabs_;
   SparseHashMap<uint64_t, uint64_t> key_map_;  // key -> PackLoc(seq, slot)
-  VictimIndex victims_;
+  std::vector<VictimEntry> victims_;
+  uint64_t sealed_count_ = 0;
   uint64_t sealed_used_bytes_ = 0;
   uint64_t sealed_dead_bytes_ = 0;
 
