@@ -500,6 +500,7 @@ void KvShard::MaybeCompact() {
   // Some sealed slab holds a current entry, so this stops before the heap
   // runs dry.
   while (!IsCurrentVictim(victims_.front())) {
+    assert(victims_.size() > 1);
     std::pop_heap(victims_.begin(), victims_.end(), VictimRanksBelow{});
     victims_.pop_back();
   }

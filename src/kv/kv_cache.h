@@ -19,9 +19,10 @@
 // slots are moved to the open slab (each move an atomic delete-old +
 // insert-new record pair) and the slab's pages are evicted — the reclaimed
 // space feeds the SSC's normal allocator. Running sealed-slab totals and a
-// victim heap make that decision O(1) per seal, not a directory scan. Clean sealed slabs are also silently evictable by the SSC's SE-GC;
-// the KV layer discovers that lazily when a Get's page read returns
-// not-present and retires the whole slab (a legal G2 miss).
+// victim heap make that decision without scanning the slab directory. Clean
+// sealed slabs are also silently evictable by the SSC's SE-GC; the KV layer
+// discovers that lazily when a Get's page read returns not-present and
+// retires the whole slab (a legal G2 miss).
 //
 // Durability rides the shard's existing persistence log: every slot insert or
 // delete appends a kKvInsertSlot/kKvDeleteSlot record carrying the packed
@@ -179,6 +180,7 @@ class KvShard {
   };
   const std::vector<VictimEntry>& victim_heap() const { return victims_; }
   bool IsCurrentVictim(const VictimEntry& entry) const;
+
   const SparseHashMap<uint64_t, uint64_t>& key_map() const { return key_map_; }
   bool has_open_slab() const { return open_seq_ != kNoSlab; }
   uint64_t open_slab_seq() const { return open_seq_; }
