@@ -39,6 +39,19 @@ struct Placement {
   uint32_t slab_pages;
 };
 
+// Generates the kv-zipf `profile` once, so every (placement, policy) run
+// replays the same records without regenerating them.
+KvVectorTrace MaterializeKvWorkload(const KvWorkloadProfile& profile) {
+  KvZipfWorkload workload(profile);
+  std::vector<KvTraceRecord> records;
+  records.reserve(workload.size_hint());
+  KvTraceRecord record;
+  while (workload.Next(&record)) {
+    records.push_back(record);
+  }
+  return KvVectorTrace(std::move(records));
+}
+
 // One JSON-lines row per run, mirroring AppendStatsJson's schema where the
 // fields overlap so the perf-smoke baseline diff can reuse the same
 // strip-and-compare logic. Everything except the wall-clock fields is
@@ -116,7 +129,6 @@ int Main(int argc, char** argv) {
 
   const AdmissionKind kinds[] = {AdmissionKind::kAdmitAll, AdmissionKind::kGhostLru,
                                  AdmissionKind::kFrequencySketch};
-  // Every (placement, policy) run replays the same trace; generate it once.
   KvVectorTrace trace = MaterializeKvWorkload(profile);
   for (AdmissionKind kind : kinds) {
     if (only_one_policy && kind != base.kind) {

@@ -184,18 +184,6 @@ inline VectorTrace MaterializeWorkload(const WorkloadProfile& profile) {
   return VectorTrace(std::move(records));
 }
 
-// The KV counterpart: generates the kv-zipf `profile` once for a sweep.
-inline KvVectorTrace MaterializeKvWorkload(const KvWorkloadProfile& profile) {
-  KvZipfWorkload workload(profile);
-  std::vector<KvTraceRecord> records;
-  records.reserve(workload.size_hint());
-  KvTraceRecord record;
-  while (workload.Next(&record)) {
-    records.push_back(record);
-  }
-  return KvVectorTrace(std::move(records));
-}
-
 // Replays `trace` (with warmup) on `system`, returns metrics. The system
 // outlives the call so the caller can read device statistics. The trace is
 // rewound afterwards and can be replayed again.

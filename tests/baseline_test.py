@@ -15,6 +15,10 @@ rows' JSON files are left in BUILD_DIR/baseline_test/ as CI artifacts. After
 a deliberate change, `--regenerate-matrix` rewrites the results of the rows
 the file lists (add or drop a row by editing its `$` line).
 
+The host-cost records at the repository root (BENCH_RECORDS) are not rerun:
+their wall-clock numbers are machine-dependent. Each row must carry every
+field in BENCH_ROW_FIELDS so a before/after pair can be read on its own.
+
 usage: baseline_test.py BUILD_DIR SOURCE_DIR [--regenerate-matrix]
 """
 
@@ -46,6 +50,13 @@ BASELINES = [
 
 # Every flashcheck invocation the CI gates on, with its pinned results.
 MATRIX = 'flashcheck_matrix_baseline.txt'
+
+# Committed performance records (repository root) and what each row holds.
+BENCH_RECORDS = ['BENCH_replay.json']
+BENCH_ROW_FIELDS = ('workload', 'commit', 'command', 'seeds', 'replay_ops_per_s', 'virtual')
+BENCH_QUARTILES = ('median', 'q1', 'q3')
+BENCH_VIRTUAL = ('virt_iops', 'virt_p50_us', 'virt_p99_us', 'virt_p999_us', 'read_miss_pct',
+                 'flash_writes_per_req', 'device_mem_bytes_per_block', 'recovery_virt_ms')
 
 
 def strip(line):
@@ -144,6 +155,26 @@ def check_matrix(build_dir, source_dir, out_dir, regenerate):
     return False
 
 
+def check_bench_record(source_dir, name):
+    with open(os.path.join(source_dir, name)) as f:
+        rows = json.load(f)['rows']
+    problems = []
+    for i, row in enumerate(rows):
+        missing = [k for k in BENCH_ROW_FIELDS if k not in row]
+        missing += ['replay_ops_per_s.' + k for k in BENCH_QUARTILES
+                    if k not in row.get('replay_ops_per_s', {})]
+        missing += ['virtual.' + k for k in BENCH_VIRTUAL if k not in row.get('virtual', {})]
+        if missing:
+            problems.append(f'row {i + 1} ({row.get("workload", "?")}) lacks ' + ', '.join(missing))
+    if not rows:
+        problems.append('no rows')
+    if problems:
+        print(f'{name}: ' + '; '.join(problems))
+        return False
+    print(f'{name}: {len(rows)} rows carry every field')
+    return True
+
+
 def main():
     regenerate = '--regenerate-matrix' in sys.argv[1:]
     argv = [a for a in sys.argv[1:] if a != '--regenerate-matrix']
@@ -157,6 +188,7 @@ def main():
         return 0 if check_matrix(build_dir, source_dir, out_dir, True) else 1
     results = [check(build_dir, source_dir, out_dir, *entry) for entry in BASELINES]
     results.append(check_matrix(build_dir, source_dir, out_dir, False))
+    results += [check_bench_record(source_dir, name) for name in BENCH_RECORDS]
     return 0 if all(results) else 1
 
 
