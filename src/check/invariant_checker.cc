@@ -760,18 +760,17 @@ CheckReport InvariantChecker::CheckKv(const KvShard& shard, bool faults_possible
     report.Add("kv.compaction-accounting", "victim heap order is broken");
   }
   std::unordered_map<uint64_t, uint32_t> current_entries;  // seq -> count
-  uint64_t picked = KvShard::kNoSlab;
-  KvShard::VictimEntry top{};
+  const KvShard::VictimEntry* best = nullptr;
   for (const KvShard::VictimEntry& entry : heap) {
     if (!shard.IsCurrentVictim(entry)) {
       continue;
     }
     ++current_entries[entry.second];
-    if (picked == KvShard::kNoSlab || KvShard::VictimRanksBelow{}(top, entry)) {
-      picked = entry.second;
-      top = entry;
+    if (best == nullptr || KvShard::VictimRanksBelow{}(*best, entry)) {
+      best = &entry;
     }
   }
+  const uint64_t picked = best == nullptr ? KvShard::kNoSlab : best->second;
   uint64_t sealed_count = 0;
   uint64_t sealed_used = 0;
   uint64_t sealed_dead = 0;
