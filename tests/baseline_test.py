@@ -5,7 +5,8 @@ Every row in tests/baselines/ is virtual-time deterministic, so drift means a
 behaviour change (or a stats-json schema change that forgot to regenerate the
 baseline). Byte-compared baselines must match exactly; dict-compared ones
 match after dropping the host wall-clock and thread fields, whose values vary
-run to run. To regenerate a baseline after a deliberate change, run its
+run to run. A 'stdout' baseline pins the whole printed table of a bench that
+writes no JSON. To regenerate a baseline after a deliberate change, run its
 command from BASELINES (from the repository root) and copy the output over.
 
 The flashcheck matrix (MATRIX) is the CI's whole flashcheck surface in one
@@ -46,6 +47,10 @@ BASELINES = [
      [['bench/bench_ablation_kv', '--scale=0.2']]),
     ('fig3_smoke_baseline.json', 'dicts',
      [['bench/bench_fig3_performance', '--scale=0.02']]),
+    ('table4_memory_baseline.txt', 'stdout',
+     [['bench/bench_table4_memory', '--scale=0.02']]),
+    ('table5_wear_baseline.json', 'dicts',
+     [['bench/bench_table5_wear', '--scale=0.02']]),
 ]
 
 # Every flashcheck invocation the CI gates on, with its pinned results.
@@ -76,13 +81,17 @@ def check(build_dir, source_dir, out_dir, name, mode, commands):
     if os.path.exists(out):
         os.remove(out)  # every tool appends one line per run
     for command in commands:
-        argv = [os.path.join(build_dir, command[0])] + command[1:] + ['--stats-json=' + out]
-        subprocess.run(argv, check=True, stdout=subprocess.DEVNULL)
+        argv = [os.path.join(build_dir, command[0])] + command[1:]
+        if mode == 'stdout':
+            with open(out, 'a') as f:
+                subprocess.run(argv, check=True, stdout=f)
+        else:
+            subprocess.run(argv + ['--stats-json=' + out], check=True, stdout=subprocess.DEVNULL)
     with open(out) as f:
         got = f.read()
     with open(os.path.join(source_dir, 'tests', 'baselines', name)) as f:
         want = f.read()
-    if mode == 'bytes':
+    if mode in ('bytes', 'stdout'):
         same = got == want
         detail = '' if same else first_difference(got.splitlines(), want.splitlines())
     else:
