@@ -15,6 +15,7 @@
 #include "src/ssc/persist.h"
 #include "src/ssc/shard.h"
 #include "src/ssc/ssc_device.h"
+#include "src/ssd/ssd_ftl.h"
 #include "src/util/str_format.h"
 
 namespace flashtier {
@@ -119,92 +120,100 @@ CheckReport InvariantChecker::CheckPersistence(const PersistenceManager& pm) {
   return report;
 }
 
+namespace {
+constexpr uint8_t kUnclassified = 0;
+// Indexed by 1 + BlockRole; 0 is a block no structure accounts for.
+constexpr const char* kRoleName[] = {"unclassified", "free", "retired", "log", "data", "dead"};
+constexpr uint8_t ClassOf(BlockRole role) { return static_cast<uint8_t>(role) + 1; }
+}  // namespace
+
+template <typename Device>
+std::vector<uint8_t> InvariantChecker::CheckBlockPartition(const HybridFtl<Device>& ftl,
+                                                           CheckReport* report) {
+  const FlashDevice& device = *ftl.device_;
+  const uint64_t total_blocks = device.geometry().TotalBlocks();
+
+  // Block classification: every erase block must be in exactly one of
+  // {allocator-free, log, data, dead, retired}.
+  std::vector<uint8_t> cls(total_blocks, kUnclassified);
+  ftl.ForEachBlockRole([&](PhysBlock b, BlockRole role) {
+    ++report->checks_run;
+    if (b >= total_blocks) {
+      report->Add("block.range", StrFormat("%s block %llu out of range", kRoleName[ClassOf(role)],
+                                           (unsigned long long)b));
+      return;
+    }
+    if (cls[b] != kUnclassified) {
+      report->Add("block.partition",
+                  StrFormat("block %llu is both %s and %s", (unsigned long long)b,
+                            kRoleName[cls[b]], kRoleName[ClassOf(role)]));
+      return;
+    }
+    cls[b] = ClassOf(role);
+  });
+  for (PhysBlock b = 0; b < total_blocks; ++b) {
+    ++report->checks_run;
+    if (cls[b] == kUnclassified) {
+      report->Add("block.partition",
+                  StrFormat("block %llu belongs to no category (free/log/data/dead)",
+                            (unsigned long long)b));
+    }
+    // A free block must be fully erased or the next ProgramPage on it fails.
+    if (cls[b] == ClassOf(BlockRole::kFree)) {
+      ++report->checks_run;
+      if (!device.BlockErased(b)) {
+        report->Add("allocator.free-erased",
+                    StrFormat("free block %llu has write pointer %u", (unsigned long long)b,
+                              device.write_pointer(b)));
+      }
+      // Erase resets the read-disturb counter and free pages refuse reads, so
+      // a free block carrying disturb exposure means an erase skipped the
+      // reset (the block would enter service pre-aged).
+      ++report->checks_run;
+      if (device.ReadsSinceErase(b) != 0) {
+        report->Add("endurance.disturb-reset",
+                    StrFormat("free block %llu carries %llu reads since erase",
+                              (unsigned long long)b, (unsigned long long)device.ReadsSinceErase(b)));
+      }
+    }
+    // A bad block must be retired: handing it back out would lose every
+    // write sent to it. (flashcheck --break-retry deliberately violates this
+    // to prove the audit notices.)
+    ++report->checks_run;
+    if (device.BlockBad(b) && cls[b] != ClassOf(BlockRole::kRetired)) {
+      report->Add("endurance.bad-not-retired",
+                  StrFormat("bad block %llu is classified %s, not retired", (unsigned long long)b,
+                            kRoleName[cls[b]]));
+    }
+    // Retirement is for failed media only: a healthy block parked in the
+    // retired set would silently shrink the cache.
+    if (cls[b] == ClassOf(BlockRole::kRetired)) {
+      ++report->checks_run;
+      if (!device.BlockBad(b)) {
+        report->Add("allocator.retired-bad",
+                    StrFormat("retired block %llu is not marked bad by the device",
+                              (unsigned long long)b));
+      }
+    }
+  }
+  return cls;
+}
+
+CheckReport InvariantChecker::Check(const SsdFtl& ssd) {
+  CheckReport report;
+  CheckBlockPartition(ssd, &report);
+  return report;
+}
+
 CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
   CheckReport report;
   const FlashDevice& device = *ssc.device_;
   const FlashGeometry& g = device.geometry();
   const uint32_t ppb = g.pages_per_block;
   const uint64_t total_blocks = g.TotalBlocks();
-
-  // Block classification: every erase block must be in exactly one of
-  // {allocator-free, log, data, dead, retired}. Build the sets up front.
-  enum : uint8_t { kUnknown = 0, kFree, kLog, kData, kDead, kRetired };
-  static const char* const kClassName[] = {"unclassified", "free",    "log",
-                                           "data",         "dead",    "retired"};
-  std::vector<uint8_t> cls(total_blocks, kUnknown);
-  auto classify = [&](PhysBlock b, uint8_t c) {
-    ++report.checks_run;
-    if (b >= total_blocks) {
-      report.Add("block.range", StrFormat("%s block %llu out of range", kClassName[c],
-                                          (unsigned long long)b));
-      return;
-    }
-    if (cls[b] != kUnknown) {
-      report.Add("block.partition", StrFormat("block %llu is both %s and %s", (unsigned long long)b,
-                                              kClassName[cls[b]], kClassName[c]));
-      return;
-    }
-    cls[b] = c;
-  };
-  uint64_t retired_count = 0;
-  ssc.allocator_->ForEachFree([&](PhysBlock b) { classify(b, kFree); });
-  ssc.allocator_->ForEachRetired([&](PhysBlock b) {
-    ++retired_count;
-    classify(b, kRetired);
-  });
-  for (PhysBlock b : ssc.log_blocks_) {
-    classify(b, kLog);
-  }
-  ssc.block_map_.ForEach(
-      [&](uint64_t, const SscDevice::BlockEntry& e) { classify(e.phys, kData); });
-  for (PhysBlock b : ssc.dead_blocks_) {
-    classify(b, kDead);
-  }
-  for (PhysBlock b = 0; b < total_blocks; ++b) {
-    ++report.checks_run;
-    if (cls[b] == kUnknown) {
-      report.Add("block.partition",
-                 StrFormat("block %llu belongs to no category (free/log/data/dead)",
-                           (unsigned long long)b));
-    }
-    // A free block must be fully erased or the next ProgramPage on it fails.
-    if (cls[b] == kFree) {
-      ++report.checks_run;
-      if (!device.BlockErased(b)) {
-        report.Add("allocator.free-erased",
-                   StrFormat("free block %llu has write pointer %u", (unsigned long long)b,
-                             device.write_pointer(b)));
-      }
-      // Erase resets the read-disturb counter and free pages refuse reads, so
-      // a free block carrying disturb exposure means an erase skipped the
-      // reset (the block would enter service pre-aged).
-      ++report.checks_run;
-      if (device.ReadsSinceErase(b) != 0) {
-        report.Add("endurance.disturb-reset",
-                   StrFormat("free block %llu carries %llu reads since erase",
-                             (unsigned long long)b, (unsigned long long)device.ReadsSinceErase(b)));
-      }
-    }
-    // A bad block must be retired: handing it back out would lose every
-    // write sent to it. (flashcheck --break-retry deliberately violates this
-    // to prove the audit notices.)
-    ++report.checks_run;
-    if (device.BlockBad(b) && cls[b] != kRetired) {
-      report.Add("endurance.bad-not-retired",
-                 StrFormat("bad block %llu is classified %s, not retired", (unsigned long long)b,
-                           kClassName[cls[b]]));
-    }
-    // Retirement is for failed media only: a healthy block parked in the
-    // retired set would silently shrink the cache.
-    if (cls[b] == kRetired) {
-      ++report.checks_run;
-      if (!device.BlockBad(b)) {
-        report.Add("allocator.retired-bad",
-                   StrFormat("retired block %llu is not marked bad by the device",
-                             (unsigned long long)b));
-      }
-    }
-  }
+  const std::vector<uint8_t> cls = CheckBlockPartition(ssc, &report);
+  const uint8_t kLog = ClassOf(BlockRole::kLog);
+  const uint64_t retired_count = ssc.allocator_->RetiredCount();
 
   // Page-level forward map vs medium, OOB reverse map, and log contents.
   std::unordered_map<PhysBlock, uint64_t> log_refs;  // block -> referenced offsets
@@ -246,7 +255,7 @@ CheckReport InvariantChecker::CheckSscOnly(const SscDevice& ssc) {
       report.Add("page-map.log-residence",
                  StrFormat(
                      "lbn %llu lives in %s block %llu (page-mapped data must stay in log blocks)",
-                     (unsigned long long)lbn, kClassName[cls[b]], (unsigned long long)b));
+                     (unsigned long long)lbn, kRoleName[cls[b]], (unsigned long long)b));
     }
     const auto it = ssc.log_contents_.find(b);
     const uint32_t off = g.PageOf(ppn);

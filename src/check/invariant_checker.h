@@ -11,7 +11,8 @@
 // Checked invariant families (see DESIGN.md "Consistency invariants"):
 //   * forward map <-> OOB reverse-map agreement (page- and block-level),
 //   * presence/dirty bitmaps <-> block allocator and medium state,
-//   * every erase block in exactly one of {free, log, data, dead},
+//   * every erase block in exactly one of {free, log, data, dead, retired}
+//     (SSC and native SSD alike: the audit runs on the shared FTL core),
 //   * cached/dirty page counters match the maps,
 //   * LSN monotonicity and checkpoint coverage in the PersistenceManager,
 //   * dirty-table <-> SSC dirty-bit agreement for the write-back manager.
@@ -35,7 +36,10 @@ class KvCache;
 class KvShard;
 class PersistenceManager;
 class SscDevice;
+class SsdFtl;
 class WriteBackManager;
+template <typename Device>
+class HybridFtl;
 struct ShardRouter;
 
 struct InvariantViolation {
@@ -65,6 +69,11 @@ class InvariantChecker {
   // Audits the SSC's internal structures against each other and against the
   // flash medium, including its persistence manager.
   static CheckReport Check(const SscDevice& ssc);
+
+  // Audits the native SSD's block partition on the hybrid-FTL core: every
+  // erase block is exactly one of free, log, data or retired (a block in
+  // none has leaked), free blocks are erased and bad blocks retired.
+  static CheckReport Check(const SsdFtl& ssd);
 
   // Audits the write-back manager's dirty table against the SSC's dirty
   // bits (both directions), then audits the SSC itself.
@@ -110,6 +119,11 @@ class InvariantChecker {
   static CheckReport CheckKv(const KvCache& cache, bool faults_possible = false);
 
  private:
+  // The block-partition audit both devices share; returns each block's class
+  // (1 + BlockRole, 0 = unclassified) for the device-specific audits.
+  template <typename Device>
+  static std::vector<uint8_t> CheckBlockPartition(const HybridFtl<Device>& ftl,
+                                                  CheckReport* report);
   static CheckReport CheckSscOnly(const SscDevice& ssc);
   static bool SscHolds(const SscDevice& ssc, uint64_t lbn);
   // Medium view of one slab page for the KV audit: whether `lbn` is present
